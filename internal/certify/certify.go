@@ -353,25 +353,21 @@ func (c *campaign) batchKeys(first, n int) []string {
 }
 
 // evaluateOne builds and simulates run idx. Runs inside a fleet worker. A
-// non-empty key routes the run through the result store's singleflight
-// group: a stored verdict is consumed without simulating, a miss elects this
-// run the fill leader and its fresh verdict is stored for every later
-// consumer (sweep jobs included).
+// non-empty key routes the run through the result store's cell protocol: a
+// stored verdict is consumed without simulating, a miss elects this run the
+// fill leader and its fresh verdict is stored for every later consumer
+// (sweep jobs included).
 func (c *campaign) evaluateOne(ctx context.Context, idx int, key string) runOutcome {
 	seed := c.cfg.Seed + int64(idx)*101
 	out := runOutcome{weight: 1, wmax: 1}
 	var fill *store.Fill
 	if key != "" {
-		val, f := c.cfg.Store.Acquire(ctx, key)
-		if f == nil && val != nil {
-			if p, err := store.DecodePayload(val); err == nil {
-				out.crashed = p.Metrics.Crashed
-				return out
-			}
-			// Undecodable entry: fall through and simulate (without a fill —
-			// the singleflight slot already resolved for this acquire).
+		p, ok, f := c.cfg.Store.Lookup(ctx, key)
+		if ok {
+			out.crashed = p.Metrics.Crashed
+			return out
 		}
-		fill = f // nil when cancelled while waiting: simulate uncached
+		fill = f // nil when cancelled or undecodable: simulate uncached
 	}
 	var tweak func(*mission.StackConfig)
 	if c.q < 1 || c.p < 1 {
@@ -380,31 +376,19 @@ func (c *campaign) evaluateOne(ctx context.Context, idx int, key string) runOutc
 		}
 	}
 	rc, err := c.spec.BuildWith(seed, tweak)
-	if err != nil {
-		out.err = err
-		if fill != nil {
-			fill.Abort()
-		}
-		return out
+	var res *sim.Result
+	if err == nil {
+		rc.Context = ctx
+		rc.Label = c.cfg.Scenario
+		res, err = sim.Run(rc)
 	}
-	rc.Context = ctx
-	rc.Label = c.cfg.Scenario
-	res, err := sim.Run(rc)
 	if err != nil {
 		out.err = err
-		if fill != nil {
-			fill.Abort()
-		}
+		fill.Finish(ctx, store.Payload{}, err)
 		return out
 	}
 	out.crashed = res.Metrics.Crashed
-	if fill != nil {
-		if raw, err := (store.Payload{Metrics: res.Metrics, Switches: res.Switches}).Encode(); err == nil {
-			fill.Complete(ctx, raw)
-		} else {
-			fill.Abort()
-		}
-	}
+	fill.Finish(ctx, store.Payload{Metrics: res.Metrics, Switches: res.Switches}, nil)
 	return out
 }
 

@@ -222,17 +222,18 @@ func Run(ctx context.Context, missions []Mission, opts Options) *Report {
 	return rep
 }
 
-func runOne(ctx context.Context, i int, m Mission, opts Options) MissionResult {
-	res := MissionResult{Name: m.Name, Seed: m.Seed}
+// runOne runs one mission. res is a named result so the deferred Wall
+// stamp lands in the value the caller receives, on every return path.
+func runOne(ctx context.Context, i int, m Mission, opts Options) (res MissionResult) {
 	start := time.Now()                             //soter:nondet-ok MissionResult.Wall measures real elapsed time; it never feeds simulated state
 	defer func() { res.Wall = time.Since(start) }() //soter:nondet-ok measurement-only: reporting wall time of the mission
 	if opts.Reuse != nil {
 		if prior, ok := opts.Reuse(i, m); ok {
 			prior.Name, prior.Seed, prior.Cached = m.Name, m.Seed, true
-			prior.Wall = time.Since(start) //soter:nondet-ok measurement-only: reporting cache-hit latency
 			return prior
 		}
 	}
+	res = MissionResult{Name: m.Name, Seed: m.Seed}
 	if m.Build == nil {
 		res.Err = fmt.Errorf("nil Build")
 		return res

@@ -354,6 +354,10 @@ func TestReuseAndOnResultHooks(t *testing.T) {
 			t.Errorf("mission %d: result identity %q/%d diverges from mission %q/%d",
 				i, res.Name, res.Seed, missions[i].Name, missions[i].Seed)
 		}
+		// A simulated mission reports the wall time it took in its worker.
+		if !res.Cached && res.Wall <= 0 {
+			t.Errorf("mission %d: fresh result Wall = %v, want > 0", i, res.Wall)
+		}
 	}
 	// The canned metrics participate in aggregation like fresh ones.
 	if rep.SimTime != 4*5*time.Second {

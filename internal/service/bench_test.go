@@ -43,7 +43,7 @@ func runSweep(tb testing.TB, svc *Server, specs []JobSpec) (done, cached int) {
 		}
 		cancel()
 		if st := job.Status(); st != StatusDone {
-			tb.Fatalf("job %s (%s): %s (%v)", job.ID(), job.spec.Scenario, st, job.Err())
+			tb.Fatalf("job %s (%s): %s (%v)", job.ID(), job.view().Scenario, st, job.Err())
 		}
 		view := job.view()
 		done += view.Cells.Done

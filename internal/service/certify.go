@@ -2,12 +2,10 @@ package service
 
 import (
 	"context"
-	goruntime "runtime"
 	"time"
 
 	"repro/internal/certify"
 	"repro/internal/falsify"
-	"repro/internal/obs"
 )
 
 // CertifyJobSpec is a certification request — the third job type the server
@@ -71,103 +69,27 @@ func (cs CertifyJobSpec) maxSeeds() int {
 	return certify.DefaultMaxSeeds
 }
 
-// SubmitCertify validates a certification request and enqueues it on the same
-// job queue as sweep and falsify jobs — one runner pool, one retention table,
-// one event fan-out mechanism.
-func (s *Server) SubmitCertify(spec CertifyJobSpec) (*Job, error) {
-	if err := spec.config().Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(func(id string) *Job {
-		return &Job{
-			id:      id,
-			certify: &spec,
-			fan:     newFanout(s.cfg.EventRing),
-			created: time.Now(),
-			status:  StatusQueued,
-		}
-	})
+func (cs CertifyJobSpec) workerBound() int { return cs.Workers }
+
+// run executes the campaign with the job's observers wired straight into the
+// engine, so CertifyProgress events stream to /jobs/{id}/events subscribers
+// exactly like sweep events do. Deterministic cells (FaultActivation == 1, no
+// boost) share fingerprints with sweep jobs, so a certification after a warm
+// sweep consumes stored outcomes instead of fresh simulations; the engine
+// ignores the store for sporadic/boosted cells.
+func (cs CertifyJobSpec) run(ctx context.Context, env runEnv) (any, error) {
+	cfg := cs.config()
+	cfg.Workers = env.workers
+	cfg.Observers = env.observers
+	cfg.Store = env.store
+	return certify.Certify(ctx, cfg)
 }
 
-// runCertifyJob executes one certification campaign. The job's fan-out is
-// wired straight into the engine's observer list, so CertifyProgress events
-// stream to /jobs/{id}/events subscribers exactly like sweep events do; a
-// second tap keeps the job's progress counters live. A cancelled campaign
-// keeps the partial (inconclusive) result it accumulated.
-func (s *Server) runCertifyJob(job *Job) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	if !job.begin(cancel) {
-		job.finish(nil, context.Canceled)
-		return
-	}
-	cfg := job.certify.config()
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	if job.certify.Workers > 0 && job.certify.Workers < workers {
-		workers = job.certify.Workers
-	}
-	cfg.Workers = workers
-	cfg.Observers = []obs.Observer{job.fan, certifyTap{job}}
-	// Deterministic cells (FaultActivation == 1, no boost) share fingerprints
-	// with sweep jobs, so a certification after a warm sweep consumes stored
-	// outcomes instead of fresh simulations; the engine ignores the store for
-	// sporadic/boosted cells.
-	cfg.Store = s.store
-	res, err := certify.Certify(ctx, cfg)
-	job.finishCertify(res, err, ctx.Err())
-}
-
-// certifyTap mirrors campaign progress into the job's cell counters so
-// polling clients (GET /jobs/{id}) see seeds/budget without subscribing to
-// the event stream.
-type certifyTap struct{ job *Job }
-
-// Interests implements obs.Interested.
-func (t certifyTap) Interests() obs.KindSet {
-	return obs.Kinds(obs.KindCertifyProgress)
-}
-
-// OnEvent implements obs.Observer.
-func (t certifyTap) OnEvent(e obs.Event) {
-	if p, ok := e.(obs.CertifyProgress); ok {
-		t.job.certifyProgress(p.Seeds)
-	}
-}
-
-// certifyProgress records the latest campaign seed count.
-func (j *Job) certifyProgress(seeds int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cellsDone = seeds
-}
-
-// certifyReport returns the campaign result, or nil while the job runs.
-func (j *Job) certifyReport() *certify.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.certifyResult
-}
-
-// finishCertify records the campaign's terminal state. A cancelled campaign
-// carries both a partial result and the cancellation error, so the job keeps
-// the inconclusive partial while still reporting cancelled status.
-func (j *Job) finishCertify(res *certify.Result, err, ctxErr error) {
-	j.mu.Lock()
-	j.certifyResult = res
-	j.finished = time.Now()
-	switch {
-	case ctxErr != nil || j.status == StatusCancelled:
-		j.status = StatusCancelled
-		j.err = context.Canceled
-	case err != nil:
-		j.status = StatusFailed
-		j.err = err
-	default:
-		j.status = StatusDone
-	}
-	j.mu.Unlock()
-	j.fan.Close()
+// describe reports the seed budget as the job's cells; early stopping
+// legitimately finishes with Done < Total.
+func (cs CertifyJobSpec) describe(v *JobView, result any) {
+	v.Scenario = cs.Scenario
+	v.Certify = &cs
+	v.Cells.Total = cs.maxSeeds()
+	v.CertifyResult, _ = result.(*certify.Result)
 }

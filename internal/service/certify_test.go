@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
-	"strings"
 	"testing"
 
 	"repro/internal/certify"
@@ -19,18 +18,7 @@ const certifySpec = `{"scenario":"surveillance-city","duration":"2s","threshold"
 
 func postCertify(t *testing.T, url, spec string) (JobView, int) {
 	t.Helper()
-	resp, err := http.Post(url+"/certify", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var view JobView
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return view, resp.StatusCode
+	return postRoute(t, url, "/certify", spec)
 }
 
 // TestCertifyHTTPEndToEnd drives a certification campaign through the HTTP

@@ -2,11 +2,9 @@ package service
 
 import (
 	"context"
-	goruntime "runtime"
 	"time"
 
 	"repro/internal/falsify"
-	"repro/internal/obs"
 )
 
 // FalsifyJobSpec is a falsification-campaign request — the second job type
@@ -68,97 +66,22 @@ func (fs FalsifyJobSpec) budget() int {
 	return falsify.DefaultBudget
 }
 
-// SubmitFalsify validates a falsification request and enqueues it on the same
-// job queue as sweep jobs — one runner pool, one retention table, one event
-// fan-out mechanism.
-func (s *Server) SubmitFalsify(spec FalsifyJobSpec) (*Job, error) {
-	if err := spec.config().Validate(); err != nil {
-		return nil, err
-	}
-	return s.enqueue(func(id string) *Job {
-		return &Job{
-			id:      id,
-			falsify: &spec,
-			fan:     newFanout(s.cfg.EventRing),
-			created: time.Now(),
-			status:  StatusQueued,
-		}
-	})
+func (fs FalsifyJobSpec) workerBound() int { return fs.Workers }
+
+// run executes the campaign with the job's observers wired straight into the
+// engine, so CampaignProgress and CounterexampleFound events stream to
+// /jobs/{id}/events subscribers exactly like sweep events do.
+func (fs FalsifyJobSpec) run(ctx context.Context, env runEnv) (any, error) {
+	cfg := fs.config()
+	cfg.Workers = env.workers
+	cfg.Observers = env.observers
+	return falsify.Campaign(ctx, cfg)
 }
 
-// runFalsifyJob executes one falsification campaign. The job's fan-out is
-// wired straight into the engine's observer list, so CampaignProgress and
-// CounterexampleFound events stream to /jobs/{id}/events subscribers exactly
-// like sweep events do; a second tap keeps the job's progress counters live.
-func (s *Server) runFalsifyJob(job *Job) {
-	ctx, cancel := context.WithCancel(s.ctx)
-	defer cancel()
-	if !job.begin(cancel) {
-		job.finish(nil, context.Canceled)
-		return
-	}
-	cfg := job.falsify.config()
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = goruntime.GOMAXPROCS(0)
-	}
-	if job.falsify.Workers > 0 && job.falsify.Workers < workers {
-		workers = job.falsify.Workers
-	}
-	cfg.Workers = workers
-	cfg.Observers = []obs.Observer{job.fan, campaignTap{job}}
-	res, err := falsify.Campaign(ctx, cfg)
-	job.finishFalsify(res, err, ctx.Err())
-}
-
-// campaignTap mirrors campaign progress into the job's cell counters so
-// polling clients (GET /jobs/{id}) see executions/budget without subscribing
-// to the event stream.
-type campaignTap struct{ job *Job }
-
-// Interests implements obs.Interested.
-func (t campaignTap) Interests() obs.KindSet {
-	return obs.Kinds(obs.KindCampaignProgress, obs.KindCounterexample)
-}
-
-// OnEvent implements obs.Observer.
-func (t campaignTap) OnEvent(e obs.Event) {
-	if p, ok := e.(obs.CampaignProgress); ok {
-		t.job.falsifyProgress(p.Executions, p.Found)
-	}
-}
-
-// falsifyProgress records the latest campaign counters.
-func (j *Job) falsifyProgress(executions, found int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cellsDone = executions
-	j.falsifyFound = found
-}
-
-// falsifyReport returns the campaign result, or nil while the job runs.
-func (j *Job) falsifyReport() *falsify.Result {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.falsifyResult
-}
-
-// finishFalsify records the campaign's terminal state. Like sweep jobs, a
-// cancelled campaign keeps the partial result it accumulated.
-func (j *Job) finishFalsify(res *falsify.Result, err, ctxErr error) {
-	j.mu.Lock()
-	j.falsifyResult = res
-	j.finished = time.Now()
-	switch {
-	case ctxErr != nil || j.status == StatusCancelled:
-		j.status = StatusCancelled
-		j.err = context.Canceled
-	case err != nil:
-		j.status = StatusFailed
-		j.err = err
-	default:
-		j.status = StatusDone
-	}
-	j.mu.Unlock()
-	j.fan.Close()
+// describe reports the campaign's execution budget as its cells.
+func (fs FalsifyJobSpec) describe(v *JobView, result any) {
+	v.Scenario = fs.Scenario
+	v.Falsify = &fs
+	v.Cells.Total = fs.budget()
+	v.FalsifyResult, _ = result.(*falsify.Result)
 }

@@ -20,18 +20,7 @@ const falsifySpec = `{"scenario":"surveillance-city","strategy":"guided:4","seed
 
 func postFalsify(t *testing.T, url, spec string) (JobView, int) {
 	t.Helper()
-	resp, err := http.Post(url+"/falsify", "application/json", strings.NewReader(spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var view JobView
-	if resp.StatusCode == http.StatusAccepted {
-		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return view, resp.StatusCode
+	return postRoute(t, url, "/falsify", spec)
 }
 
 // TestFalsifyHTTPEndToEnd drives a falsification campaign through the HTTP

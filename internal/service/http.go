@@ -13,7 +13,6 @@ import (
 	"repro/internal/falsify"
 	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/rta"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/store"
@@ -83,9 +82,6 @@ type CellView struct {
 // reportView projects a fleet report into its wire form; policy is the job's
 // canonical switching-policy spec.
 func reportView(rep *fleet.Report, policy string) *ReportView {
-	if rep == nil {
-		return nil
-	}
 	v := &ReportView{
 		Policy:              policy,
 		Missions:            rep.Missions,
@@ -125,53 +121,17 @@ func (j *Job) view() JobView {
 	defer j.mu.Unlock()
 	v := JobView{
 		ID:       j.id,
-		Scenario: j.spec.Scenario,
 		Status:   j.status,
-		Spec:     j.spec,
-		Cells:    CellsView{Total: len(j.seeds), Done: j.cellsDone, Cached: j.cellsCached},
+		Cells:    CellsView{Done: j.cellsDone, Cached: j.cellsCached},
 		Created:  j.created,
 		Started:  j.started,
 		Finished: j.finished,
 	}
-	if j.falsify != nil {
-		v.Scenario = j.falsify.Scenario
-		v.Falsify = j.falsify
-		// A campaign's "cells" are its execution budget.
-		v.Cells = CellsView{Total: j.falsify.budget(), Done: j.cellsDone}
-	}
-	if j.certify != nil {
-		v.Scenario = j.certify.Scenario
-		v.Certify = j.certify
-		// A certification's "cells" are its seed budget; early stopping
-		// legitimately finishes with Done < Total.
-		v.Cells = CellsView{Total: j.certify.maxSeeds(), Done: j.cellsDone}
-	}
 	if j.err != nil {
 		v.Error = j.err.Error()
 	}
-	if j.status.Terminal() {
-		switch {
-		case j.falsify != nil:
-			v.FalsifyResult = j.falsifyResult
-		case j.certify != nil:
-			v.CertifyResult = j.certifyResult
-		default:
-			v.Report = reportView(j.report, j.policyName())
-		}
-	}
+	j.kind.describe(&v, j.result)
 	return v
-}
-
-// policyName is the canonical switching-policy spec of the job's resolved
-// scenario ("soter-fig9" unless overridden).
-func (j *Job) policyName() string {
-	name, err := rta.CanonicalPolicySpec(j.resolved.SwitchPolicy)
-	if err != nil {
-		// The spec was registry-validated at submit; an error here can only
-		// mean the policy was unregistered since — fall back to the raw spec.
-		return j.resolved.SwitchPolicy
-	}
-	return name
 }
 
 // scenarioView is one /scenarios catalog entry.
@@ -191,7 +151,7 @@ type scenarioView struct {
 //	POST   /falsify             submit a FalsifyJobSpec; 202 + JobView
 //	POST   /certify             submit a CertifyJobSpec; 202 + JobView
 //	GET    /falsify/strategies  the falsification strategy catalog
-//	GET    /jobs                list jobs (both types)
+//	GET    /jobs                list jobs (every kind)
 //	GET    /jobs/{id}           job status, progress and (when done) result
 //	GET    /jobs/{id}/events    the job's event stream as JSON Lines
 //	GET    /jobs/{id}/report    the report/result alone; 409 until terminal
@@ -245,63 +205,16 @@ func (s *Server) Handler() http.Handler {
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(val)
 	})
-	mux.HandleFunc("POST /jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode job spec: %w", err))
-			return
-		}
-		job, err := s.Submit(spec)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.view())
-	})
-	mux.HandleFunc("POST /falsify", func(w http.ResponseWriter, r *http.Request) {
-		var spec FalsifyJobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode falsify spec: %w", err))
-			return
-		}
-		job, err := s.SubmitFalsify(spec)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.view())
-	})
-	mux.HandleFunc("POST /certify", func(w http.ResponseWriter, r *http.Request) {
-		var spec CertifyJobSpec
-		dec := json.NewDecoder(r.Body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("decode certify spec: %w", err))
-			return
-		}
-		job, err := s.SubmitCertify(spec)
-		if err != nil {
-			status := http.StatusBadRequest
-			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
-				status = http.StatusServiceUnavailable
-			}
-			writeErr(w, status, err)
-			return
-		}
-		writeJSON(w, http.StatusAccepted, job.view())
-	})
+	for _, route := range []struct {
+		pattern string
+		handler http.HandlerFunc
+	}{
+		{"POST /jobs", submitHandler("job spec", s.Submit)},
+		{"POST /falsify", submitHandler("falsify spec", s.SubmitFalsify)},
+		{"POST /certify", submitHandler("certify spec", s.SubmitCertify)},
+	} {
+		mux.HandleFunc(route.pattern, route.handler)
+	}
 	mux.HandleFunc("GET /falsify/strategies", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, falsify.StrategyNames())
 	})
@@ -330,15 +243,7 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusConflict, fmt.Errorf("job %s is %s; report not ready", j.ID(), j.Status()))
 			return
 		}
-		if j.falsify != nil {
-			writeJSON(w, http.StatusOK, j.falsifyReport())
-			return
-		}
-		if j.certify != nil {
-			writeJSON(w, http.StatusOK, j.certifyReport())
-			return
-		}
-		writeJSON(w, http.StatusOK, reportView(j.Report(), j.policyName()))
+		writeJSON(w, http.StatusOK, j.report())
 	})
 	mux.HandleFunc("GET /jobs/{id}/events", s.handleEvents)
 	cancel := func(w http.ResponseWriter, r *http.Request) {
@@ -356,6 +261,44 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /jobs/{id}/cancel", cancel)
 	mux.HandleFunc("DELETE /jobs/{id}", cancel)
 	return mux
+}
+
+// maxRequestBytes bounds a job submission's body. The largest legitimate
+// request — an explicit seed list — stays far below it; the decoder stops
+// reading at the bound, so no client can make a handler buffer an unbounded
+// body.
+const maxRequestBytes = 1 << 20
+
+// submitHandler is the one POST adapter of every job kind: decode the
+// request strictly (unknown fields and oversized bodies are rejected),
+// submit it, and answer 202 with the queued job's view. Capacity and
+// shutdown rejections map to 503 so clients retry; anything else is the
+// request's fault.
+func submitHandler[T any](what string, submit func(T) (*Job, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var spec T
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			writeErr(w, status, fmt.Errorf("decode %s: %w", what, err))
+			return
+		}
+		job, err := submit(spec)
+		if err != nil {
+			status := http.StatusBadRequest
+			if errors.Is(err, ErrBusy) || errors.Is(err, ErrClosed) {
+				status = http.StatusServiceUnavailable
+			}
+			writeErr(w, status, err)
+			return
+		}
+		writeJSON(w, http.StatusAccepted, job.view())
+	}
 }
 
 // handleEvents streams the job's event stream as JSON Lines: first the replay

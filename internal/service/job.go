@@ -7,9 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/certify"
-	"repro/internal/falsify"
-	"repro/internal/fleet"
 	"repro/internal/mission"
 	"repro/internal/plan"
 	"repro/internal/scenario"
@@ -217,58 +214,48 @@ func (js JobSpec) seeds() ([]int64, error) {
 
 // resolve validates the request against the scenario registry and compiles it
 // into the effective spec, the seed sweep and the per-cell cache keys.
-func (js JobSpec) resolve() (scenario.Spec, []int64, []string, error) {
+func (js JobSpec) resolve() (*sweepJob, error) {
 	if js.Scenario == "" {
-		return scenario.Spec{}, nil, nil, fmt.Errorf("missing scenario name")
+		return nil, fmt.Errorf("missing scenario name")
 	}
 	base, ok := scenario.Get(js.Scenario)
 	if !ok {
-		return scenario.Spec{}, nil, nil, fmt.Errorf("unknown scenario %q (have: %s)",
+		return nil, fmt.Errorf("unknown scenario %q (have: %s)",
 			js.Scenario, strings.Join(scenario.Names(), ", "))
 	}
 	spec, err := js.Overrides.apply(base)
 	if err != nil {
-		return scenario.Spec{}, nil, nil, fmt.Errorf("scenario %q: %w", js.Scenario, err)
+		return nil, fmt.Errorf("scenario %q: %w", js.Scenario, err)
 	}
 	if err := spec.Validate(); err != nil {
-		return scenario.Spec{}, nil, nil, err
+		return nil, err
 	}
 	seeds, err := js.seeds()
 	if err != nil {
-		return scenario.Spec{}, nil, nil, err
+		return nil, err
 	}
 	keys, err := spec.Fingerprints(seeds)
 	if err != nil {
-		return scenario.Spec{}, nil, nil, err
+		return nil, err
 	}
-	return spec, seeds, keys, nil
+	return &sweepJob{spec: js, resolved: spec, seeds: seeds, keys: keys}, nil
 }
 
-// Job is one submitted batch with its live state. All mutable fields are
-// guarded by mu; the event fan-out has its own synchronization. Exactly one
-// of the three request forms is set: spec (a fleet sweep), falsify (a
-// falsification campaign) or certify (a certification campaign).
+// Job is one submitted job with its live state. All mutable fields are
+// guarded by mu; the event fan-out has its own synchronization.
 type Job struct {
-	id       string
-	spec     JobSpec
-	resolved scenario.Spec // base spec with the overrides folded in
-	seeds    []int64
-	keys     []string // per-seed cache keys, aligned with seeds
-	falsify  *FalsifyJobSpec
-	certify  *CertifyJobSpec
-	fan      *fanout
-	created  time.Time
+	id      string
+	kind    jobKind
+	fan     *fanout
+	created time.Time
 
-	mu            sync.Mutex
-	status        Status
-	started       time.Time
-	finished      time.Time
-	cancel        func()
-	report        *fleet.Report
-	falsifyResult *falsify.Result
-	certifyResult *certify.Result
-	falsifyFound  int
-	err           error
-	cellsDone     int
-	cellsCached   int
+	mu          sync.Mutex
+	status      Status
+	started     time.Time
+	finished    time.Time
+	cancel      func()
+	result      any // the kind's wire-form report, set by finish
+	err         error
+	cellsDone   int
+	cellsCached int
 }

@@ -1,12 +1,16 @@
 // Package service is the simulation-as-a-service layer: a long-running
-// server that accepts batch simulation jobs over HTTP/JSON, schedules them on
-// a bounded job queue over the fleet engine, streams live progress as obs
-// JSONL events, and answers repeated work from a deterministic result cache.
+// server that accepts simulation jobs over HTTP/JSON, schedules them on a
+// bounded job queue, streams live progress as obs JSONL events, and answers
+// repeated work from a deterministic result store.
 //
-// The layering below it is unchanged — a job is just a named scenario from
-// the registry (internal/scenario) plus declarative overrides and a seed
-// sweep, expanded into fleet missions exactly like a CLI sweep would. What
-// the service adds is the two things a one-shot CLI cannot:
+// Three kinds of job share one engine: a sweep (JobSpec — a named scenario
+// from the registry plus declarative overrides and a seed sweep, expanded
+// into fleet missions exactly like a CLI sweep would), a falsification
+// campaign (FalsifyJobSpec) and a certification campaign (CertifyJobSpec).
+// Each implements the unexported jobKind interface; submission, the queue,
+// the lifecycle, the worker clamp, event fan-out, progress counters and
+// retention are the engine's and exist once. What the service adds over a
+// one-shot CLI is two things:
 //
 //   - Persistence of work already done. Runs are fully deterministic per
 //     (spec, seed) — the property the paper's repeatable RTA experiments rely
@@ -16,18 +20,20 @@
 //     (internal/store): an in-memory LRU in front of an optional crash-safe
 //     disk tier (Config.StoreDir — a restarted server answers yesterday's
 //     sweeps without simulating) and an optional peer tier (Config.Peers —
-//     N servers form one logical cache over GET /store/{key}). A repeated
-//     cell is served through the fleet engine's Reuse hook, byte-identical
-//     to a fresh run and orders of magnitude faster, and a singleflight
-//     group collapses concurrent identical fills so every fingerprint
-//     simulates at most once however many jobs want it; /stats exposes the
-//     per-tier hit/miss/eviction and singleflight counters.
+//     N servers form one logical cache over GET /store/{key}). Sweeps and
+//     deterministic certifications read and fill cells through the store's
+//     one cell protocol (store.Tiered.Lookup), so a repeated cell is
+//     byte-identical to a fresh run and orders of magnitude faster, and
+//     concurrent identical fills collapse so every fingerprint simulates at
+//     most once however many jobs want it; /stats exposes the per-tier
+//     hit/miss/eviction and singleflight counters.
 //
-//   - A live view of work in flight. Each job's missions fan their event
-//     streams (run boundaries, mode switches, invariant violations, crashes,
-//     landings) out to any number of HTTP subscribers as JSON Lines — the
-//     same wire format as soter-sim -trace — with a bounded replay ring so
-//     late subscribers still see the whole stream.
+//   - A live view of work in flight. Each job's missions or campaign fan
+//     their event streams (run boundaries, mode switches, invariant
+//     violations, crashes, landings, campaign progress) out to any number of
+//     HTTP subscribers as JSON Lines — the same wire format as soter-sim
+//     -trace — with a bounded replay ring so late subscribers still see the
+//     whole stream.
 //
 // Server is transport-agnostic (Submit/Job/Cancel/Stats are plain methods);
 // Handler adapts it to HTTP. cmd/soter-serve is the binary.
@@ -41,9 +47,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/fleet"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -221,36 +225,35 @@ func (s *Server) Close() {
 // Store exposes the tiered result store (tests seed or inspect it).
 func (s *Server) Store() *store.Tiered { return s.store }
 
-// Submit validates the request against the scenario registry and enqueues it.
-// It returns the queued job, or an error when the spec does not resolve, the
-// queue is full, the retention bound cannot admit another job, or the server
-// is closed.
+// Submit validates a sweep request against the scenario registry and
+// enqueues it. It returns the queued job, or an error when the spec does not
+// resolve, the queue is full, the retention bound cannot admit another job,
+// or the server is closed.
 func (s *Server) Submit(spec JobSpec) (*Job, error) {
-	resolved, seeds, keys, err := spec.resolve()
-	if err != nil {
-		return nil, err
-	}
-	return s.enqueue(func(id string) *Job {
-		return &Job{
-			id:       id,
-			spec:     spec,
-			resolved: resolved,
-			seeds:    seeds,
-			keys:     keys,
-			fan:      newFanout(s.cfg.EventRing),
-			created:  time.Now(),
-			status:   StatusQueued,
-		}
-	})
+	return s.submit(spec.resolve())
 }
 
-// enqueue registers and queues a freshly built job — the shared tail of
-// Submit and SubmitFalsify. Registration, retention eviction and the
-// (non-blocking) enqueue happen under one lock, so a full queue never
-// unregisters a neighbour's job and Close — which flips s.closed under the
-// same lock before stopping the runners — can never strand a job in the
-// queue.
-func (s *Server) enqueue(build func(id string) *Job) (*Job, error) {
+// SubmitFalsify validates a falsification request and enqueues it on the same
+// job queue as every other kind.
+func (s *Server) SubmitFalsify(spec FalsifyJobSpec) (*Job, error) {
+	return s.submit(spec, spec.config().Validate())
+}
+
+// SubmitCertify validates a certification request and enqueues it on the
+// same job queue as every other kind.
+func (s *Server) SubmitCertify(spec CertifyJobSpec) (*Job, error) {
+	return s.submit(spec, spec.config().Validate())
+}
+
+// submit registers and queues a validated job — the one submit path of every
+// kind. Registration, retention eviction and the (non-blocking) enqueue
+// happen under one lock, so a full queue never unregisters a neighbour's job
+// and Close — which flips s.closed under the same lock before stopping the
+// runners — can never strand a job in the queue.
+func (s *Server) submit(kind jobKind, invalid error) (*Job, error) {
+	if invalid != nil {
+		return nil, invalid
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -261,7 +264,13 @@ func (s *Server) enqueue(build func(id string) *Job) (*Job, error) {
 		return nil, fmt.Errorf("job table full (%d active jobs): %w", len(s.jobs), ErrBusy)
 	}
 	s.seq++
-	job := build(fmt.Sprintf("job-%06d", s.seq))
+	job := &Job{
+		id:      fmt.Sprintf("job-%06d", s.seq),
+		kind:    kind,
+		fan:     newFanout(s.cfg.EventRing),
+		created: time.Now(),
+		status:  StatusQueued,
+	}
 	select {
 	case s.queue <- job:
 	default:
@@ -370,33 +379,85 @@ func (s *Server) runner() {
 				}
 			}
 		case job := <-s.queue:
-			s.runJob(job)
+			s.run(job)
 		}
 	}
 }
 
-// runJob dispatches a dequeued job to its executor: falsification campaigns
-// to the falsify engine, certification campaigns to the certify engine,
-// everything else to the fleet sweep below.
-func (s *Server) runJob(job *Job) {
-	switch {
-	case job.falsify != nil:
-		s.runFalsifyJob(job)
-	case job.certify != nil:
-		s.runCertifyJob(job)
+// jobKind is one kind of work the server runs. JobSpec (through its
+// resolved sweepJob), FalsifyJobSpec and CertifyJobSpec implement it. The
+// engine owns everything the kinds share — the queue, the lifecycle, the
+// worker clamp, the event fan-out, the progress counters and retention — so a
+// kind supplies only what differs.
+type jobKind interface {
+	// workerBound is the worker bound the request asks for (0 = the
+	// server's); the engine clamps it into runEnv.workers.
+	workerBound() int
+	// run executes the job. Its result is the wire-form report that
+	// GET /jobs/{id}/report serves; a cancelled run returns the partial
+	// result it accumulated.
+	run(ctx context.Context, env runEnv) (any, error)
+	// describe projects the request, its cell total and the result (nil
+	// until the job is terminal) into the job's view.
+	describe(v *JobView, result any)
+}
+
+// runEnv is what the engine hands a running job.
+type runEnv struct {
+	// workers is the job's worker bound, clamped to the server's.
+	workers int
+	// observers are the job's event fan-out and its progress tap; kinds
+	// attach them to every mission or campaign they run.
+	observers []obs.Observer
+	// progress keeps the job's cell counters live.
+	progress progressTap
+	// store is the server's tiered result store.
+	store *store.Tiered
+}
+
+// progressTap keeps a job's cell counters live, so polling clients
+// (GET /jobs/{id}) see progress without subscribing to the event stream.
+// Campaign kinds report through their progress events; sweeps count cells
+// as the fleet finishes them.
+type progressTap struct{ job *Job }
+
+// Interests implements obs.Interested.
+func (t progressTap) Interests() obs.KindSet {
+	return obs.Kinds(obs.KindCampaignProgress, obs.KindCertifyProgress)
+}
+
+// OnEvent implements obs.Observer: a campaign's cells are its executions, a
+// certification's its seeds.
+func (t progressTap) OnEvent(e obs.Event) {
+	var done int
+	switch p := e.(type) {
+	case obs.CampaignProgress:
+		done = p.Executions
+	case obs.CertifyProgress:
+		done = p.Seeds
 	default:
-		s.runSweepJob(job)
+		return
+	}
+	t.job.mu.Lock()
+	defer t.job.mu.Unlock()
+	t.job.cellsDone = done
+}
+
+// cell counts one finished sweep cell.
+func (t progressTap) cell(cached bool) {
+	j := t.job
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	j.cellsDone++
+	if cached {
+		j.cellsCached++
 	}
 }
 
-// runSweepJob executes one batch job over the fleet engine with the tiered
-// result store wired into the per-mission reuse hook. Every cell goes through
-// the store's singleflight group: a miss elects this mission the fill leader
-// (it simulates and completes the fill in OnResult), while a concurrent
-// identical cell — in this job or any other — blocks on the leader and shares
-// its bytes. Determinism makes the wait safe: whatever the leader produces is
-// exactly what the waiter's own simulation would have produced.
-func (s *Server) runSweepJob(job *Job) {
+// run is the one job path every kind takes: begin, run the kind under the
+// job's context with the clamped worker bound, the job's observers and the
+// result store, then finish with whatever result the kind produced.
+func (s *Server) run(job *Job) {
 	ctx, cancel := context.WithCancel(s.ctx)
 	defer cancel()
 	if !job.begin(cancel) {
@@ -404,89 +465,32 @@ func (s *Server) runSweepJob(job *Job) {
 		job.finish(nil, context.Canceled)
 		return
 	}
-	missions := job.missions()
-	// A job may lower the worker bound for itself but never raise it above
-	// the server's — worker counts are a server capacity decision, not a
-	// client-controlled one.
+	tap := progressTap{job}
+	result, err := job.kind.run(ctx, runEnv{
+		workers:   s.workers(job.kind.workerBound()),
+		observers: []obs.Observer{job.fan, tap},
+		progress:  tap,
+		store:     s.store,
+	})
+	if ctx.Err() != nil {
+		// The partial result stays; the job reports cancelled.
+		err = context.Canceled
+	}
+	job.finish(result, err)
+}
+
+// workers clamps a job's requested worker bound. A job may lower the bound
+// for itself but never raise it above the server's — worker counts are a
+// server capacity decision, not a client-controlled one.
+func (s *Server) workers(requested int) int {
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = goruntime.GOMAXPROCS(0)
 	}
-	if job.spec.Workers > 0 && job.spec.Workers < workers {
-		workers = job.spec.Workers
+	if requested > 0 && requested < workers {
+		return requested
 	}
-	// fills[i] is written by mission i's Reuse call and consumed by the same
-	// worker goroutine's OnResult call; distinct indices never share an
-	// element, so the slice needs no lock.
-	fills := make([]*store.Fill, len(missions))
-	rep := fleet.Run(ctx, missions, fleet.Options{
-		Workers: workers,
-		Reuse: func(i int, m fleet.Mission) (fleet.MissionResult, bool) {
-			val, fill := s.store.Acquire(ctx, job.keys[i])
-			if fill != nil {
-				// Miss, and this mission leads the fill: simulate, then
-				// Complete (or Abort) in OnResult below.
-				fills[i] = fill
-				return fleet.MissionResult{}, false
-			}
-			if val == nil {
-				// Cancelled while waiting: simulate without caching duties
-				// (the run is about to be cancelled too).
-				return fleet.MissionResult{}, false
-			}
-			p, err := store.DecodePayload(val)
-			if err != nil {
-				// A corrupt entry must not poison the job; fall back to
-				// simulating the cell.
-				return fleet.MissionResult{}, false
-			}
-			return fleet.MissionResult{Metrics: p.Metrics, Switches: p.Switches}, true
-		},
-		OnResult: func(i int, m fleet.Mission, res fleet.MissionResult) {
-			if fill := fills[i]; fill != nil {
-				fills[i] = nil
-				raw, err := store.Payload{Metrics: res.Metrics, Switches: res.Switches}.Encode()
-				if res.Err == nil && !res.Cached && err == nil {
-					fill.Complete(ctx, raw)
-				} else {
-					// Failed or cancelled: waiters wake, re-probe and elect
-					// a new leader rather than inheriting the failure.
-					fill.Abort()
-				}
-			}
-			job.progress(res.Cached)
-		},
-	})
-	// Missions a cancelled batch never started got no OnResult; their leader
-	// slots must not strand waiters in other jobs.
-	for _, fill := range fills {
-		if fill != nil {
-			fill.Abort()
-		}
-	}
-	job.finish(rep, ctx.Err())
-}
-
-// missions expands the job into fleet missions, with the job's event fan-out
-// attached to every mission's observer list.
-func (j *Job) missions() []fleet.Mission {
-	missions := make([]fleet.Mission, len(j.seeds))
-	for i, seed := range j.seeds {
-		seed := seed
-		missions[i] = fleet.Mission{
-			Name: fmt.Sprintf("%s/seed-%d", j.resolved.Name, seed),
-			Seed: seed,
-			Build: func() (sim.RunConfig, error) {
-				cfg, err := j.resolved.Build(seed)
-				if err != nil {
-					return cfg, err
-				}
-				cfg.Observers = append(cfg.Observers, j.fan)
-				return cfg, nil
-			},
-		}
-	}
-	return missions
+	return workers
 }
 
 // ID returns the job's identifier.
@@ -499,12 +503,11 @@ func (j *Job) Status() Status {
 	return j.status
 }
 
-// Report returns the aggregated fleet report, or nil while the job has not
-// reached a terminal state.
-func (j *Job) Report() *fleet.Report {
+// report returns the job's wire-form report, or nil while it runs.
+func (j *Job) report() any {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.report
+	return j.result
 }
 
 // Err returns the job-terminating error, if any.
@@ -550,35 +553,25 @@ func (j *Job) requestCancel() {
 	}
 }
 
-// progress bumps the completed-cell counters.
-func (j *Job) progress(cached bool) {
+// finish records the terminal state and closes the event stream. The result
+// is recorded even for cancelled jobs — partial results are kept, and every
+// kind's result is internally consistent about what never ran.
+func (j *Job) finish(result any, err error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.cellsDone++
-	if cached {
-		j.cellsCached++
-	}
-}
-
-// finish records the terminal state and closes the event stream. The report
-// is recorded even for cancelled jobs — partial results are kept, and the
-// fleet report is internally consistent about what never ran.
-func (j *Job) finish(rep *fleet.Report, ctxErr error) {
-	j.mu.Lock()
-	j.report = rep
+	j.result = result
 	j.finished = time.Now()
 	switch {
-	case ctxErr != nil || j.status == StatusCancelled:
+	case errors.Is(err, context.Canceled):
 		j.status = StatusCancelled
 		j.err = context.Canceled
-	case rep != nil && rep.FirstErr() != nil:
+	case err != nil:
 		j.status = StatusFailed
-		j.err = rep.FirstErr()
+		j.err = err
 	default:
 		j.status = StatusDone
 	}
 	j.mu.Unlock()
 	// Closed outside the lock after the terminal state is visible, so a
-	// subscriber that sees its channel close finds the report in place.
+	// subscriber that sees its channel close finds the result in place.
 	j.fan.Close()
 }

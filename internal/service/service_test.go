@@ -5,12 +5,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/certify"
 	"repro/internal/obs"
 )
 
@@ -183,46 +185,58 @@ func waitTerminal(t *testing.T, ts *httptest.Server, id string) JobView {
 	}
 }
 
-// TestJobCancellationMidRun: a long job cancelled over HTTP reaches the
-// cancelled state, keeps its partial report, and closes its event stream.
-func TestJobCancellationMidRun(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	// 10 minutes of simulated endurance — far longer than the test runs.
-	view := postJob(t, ts, `{"scenario":"random-endurance","overrides":{"duration":"10m"},"seeds":[1,2,3,4]}`)
-
-	// Wait for the first event: proof the job is genuinely mid-run.
-	resp, err := http.Get(ts.URL + "/jobs/" + view.ID + "/events")
+// postRoute submits a request body to one of the POST routes and returns the
+// status code and, on 202, the queued job's view.
+func postRoute(t *testing.T, url, route, spec string) (JobView, int) {
+	t.Helper()
+	resp, err := http.Post(url+route, "application/json", strings.NewReader(spec))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	if !sc.Scan() {
-		t.Fatalf("event stream ended before the job started: %v", sc.Err())
+	var view JobView
+	if resp.StatusCode == http.StatusAccepted {
+		if err := json.NewDecoder(resp.Body).Decode(&view); err != nil {
+			t.Fatal(err)
+		}
 	}
+	return view, resp.StatusCode
+}
 
-	cancelReq, _ := http.NewRequest(http.MethodPost, ts.URL+"/jobs/"+view.ID+"/cancel", nil)
-	cancelResp, err := http.DefaultClient.Do(cancelReq)
+// cancelJob cancels a job over HTTP.
+func cancelJob(t *testing.T, ts *httptest.Server, id string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/jobs/"+id+"/cancel", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancelResp.Body.Close()
-	if cancelResp.StatusCode != http.StatusOK {
-		t.Fatalf("POST cancel = %d", cancelResp.StatusCode)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST cancel = %d", resp.StatusCode)
 	}
+}
 
-	final := waitTerminal(t, ts, view.ID)
-	if final.Status != StatusCancelled {
-		t.Fatalf("status = %s, want cancelled", final.Status)
+// firstEvent opens the job's event stream and waits for its first event —
+// proof the job is genuinely mid-run. The caller drains or closes the
+// returned stream.
+func firstEvent(t *testing.T, ts *httptest.Server, id string) (*bufio.Scanner, io.Closer) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/jobs/" + id + "/events")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if final.Report == nil {
-		t.Fatal("cancelled job dropped its partial report")
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	if !sc.Scan() {
+		resp.Body.Close()
+		t.Fatalf("event stream of %s ended before the job started: %v", id, sc.Err())
 	}
-	if final.Report.Missions != 4 {
-		t.Errorf("partial report covers %d missions, want 4", final.Report.Missions)
-	}
+	return sc, resp.Body
+}
 
-	// The stream must terminate promptly now that the job is cancelled.
+// drainWithin waits for an event stream to end.
+func drainWithin(t *testing.T, sc *bufio.Scanner, d time.Duration) {
+	t.Helper()
 	done := make(chan struct{})
 	go func() {
 		for sc.Scan() {
@@ -231,8 +245,161 @@ func TestJobCancellationMidRun(t *testing.T) {
 	}()
 	select {
 	case <-done:
-	case <-time.After(10 * time.Second):
+	case <-time.After(d):
 		t.Error("event stream still open after cancellation")
+	}
+}
+
+// TestJobCancellationMidRun pins the lifecycle every job kind shares. A long
+// job cancelled over HTTP mid-run reaches the cancelled state, keeps its
+// partial result (served by /report as well as the job view) and closes its
+// event stream. A job cancelled while still queued reaches the cancelled
+// state without ever running.
+func TestJobCancellationMidRun(t *testing.T) {
+	for _, kc := range []struct {
+		name, route string
+		// long runs far longer than the test; its first event arrives early.
+		long string
+		// partial checks the cancelled job's partial result and returns it.
+		partial func(t *testing.T, v JobView) any
+	}{
+		{
+			name: "sweep", route: "/jobs",
+			// 10 minutes of simulated endurance per seed.
+			long: `{"scenario":"random-endurance","overrides":{"duration":"10m"},"seeds":[1,2,3,4]}`,
+			partial: func(t *testing.T, v JobView) any {
+				if v.Report == nil {
+					t.Fatal("cancelled job dropped its partial report")
+				}
+				if v.Report.Missions != 4 {
+					t.Errorf("partial report covers %d missions, want 4", v.Report.Missions)
+				}
+				return v.Report
+			},
+		},
+		{
+			// The guided strategy evaluates one incumbent before its first
+			// generation, so progress streams after a single execution.
+			name: "falsify", route: "/falsify",
+			long: `{"scenario":"surveillance-city","strategy":"guided:4","seed":1,"budget":4096,"duration":"1m"}`,
+			partial: func(t *testing.T, v JobView) any {
+				if v.FalsifyResult == nil {
+					t.Fatal("cancelled campaign dropped its partial result")
+				}
+				if v.FalsifyResult.Executions >= 4096 {
+					t.Errorf("cancelled campaign spent its whole budget: %+v", v.FalsifyResult)
+				}
+				return v.FalsifyResult
+			},
+		},
+		{
+			// Batches of one seed stream progress per seed; the threshold
+			// is far too tight to settle within a few seeds.
+			name: "certify", route: "/certify",
+			long: `{"scenario":"surveillance-city","duration":"1m","threshold":0.001,"max_seeds":4096,"batch":1}`,
+			partial: func(t *testing.T, v JobView) any {
+				if v.CertifyResult == nil {
+					t.Fatal("cancelled certification dropped its partial result")
+				}
+				if v.CertifyResult.Verdict != certify.VerdictInconclusive || v.CertifyResult.Seeds >= 4096 {
+					t.Errorf("cancelled certification is not a partial result: %+v", v.CertifyResult)
+				}
+				return v.CertifyResult
+			},
+		},
+	} {
+		t.Run(kc.name+"/mid-run", func(t *testing.T) {
+			_, ts := newTestServer(t, Config{})
+			view, code := postRoute(t, ts.URL, kc.route, kc.long)
+			if code != http.StatusAccepted {
+				t.Fatalf("POST %s = %d", kc.route, code)
+			}
+			sc, body := firstEvent(t, ts, view.ID)
+			defer body.Close()
+			cancelJob(t, ts, view.ID)
+
+			final := waitTerminal(t, ts, view.ID)
+			if final.Status != StatusCancelled {
+				t.Fatalf("status = %s, want cancelled", final.Status)
+			}
+			want, _ := json.Marshal(kc.partial(t, final))
+			var report json.RawMessage
+			if code := getJSON(t, ts.URL+"/jobs/"+view.ID+"/report", &report); code != http.StatusOK {
+				t.Fatalf("GET report = %d", code)
+			}
+			if got, _ := json.Marshal(report); !bytes.Equal(got, want) {
+				t.Errorf("/report and job view disagree:\n%s\n%s", got, want)
+			}
+			// The stream must terminate promptly now that the job is cancelled.
+			drainWithin(t, sc, 10*time.Second)
+		})
+		t.Run(kc.name+"/queued", func(t *testing.T) {
+			_, ts := newTestServer(t, Config{JobConcurrency: 1})
+			// A running blocker holds the only runner, so the job queues.
+			blocker := postJob(t, ts, `{"scenario":"random-endurance","overrides":{"duration":"10m"},"seeds":[1]}`)
+			_, blockerBody := firstEvent(t, ts, blocker.ID)
+			defer blockerBody.Close()
+			view, code := postRoute(t, ts.URL, kc.route, kc.long)
+			if code != http.StatusAccepted {
+				t.Fatalf("POST %s = %d", kc.route, code)
+			}
+			if view.Status != StatusQueued {
+				t.Fatalf("status behind a running blocker = %s, want queued", view.Status)
+			}
+			cancelJob(t, ts, view.ID)
+			cancelJob(t, ts, blocker.ID)
+
+			// The stream closes once the runner has dequeued and retired it.
+			resp, err := http.Get(ts.URL + "/jobs/" + view.ID + "/events")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			drainWithin(t, bufio.NewScanner(resp.Body), 10*time.Second)
+
+			final := waitTerminal(t, ts, view.ID)
+			if final.Status != StatusCancelled {
+				t.Fatalf("status = %s, want cancelled", final.Status)
+			}
+			if !final.Started.IsZero() || final.Cells.Done != 0 {
+				t.Errorf("job cancelled while queued still ran: started %v, cells %+v", final.Started, final.Cells)
+			}
+			if final.Report != nil || final.FalsifyResult != nil || final.CertifyResult != nil {
+				t.Errorf("job cancelled while queued has a result: %+v", final)
+			}
+		})
+	}
+}
+
+// TestOversizedBodyRejected: every POST route bounds its body. A request
+// past maxRequestBytes is refused with a 413 JSON error before it is
+// decoded, while the same request under the bound reaches validation.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, route := range []string{"/jobs", "/falsify", "/certify"} {
+		for _, tc := range []struct {
+			name string
+			size int
+			want int
+		}{
+			{"under the bound", maxRequestBytes / 2, http.StatusBadRequest}, // unknown scenario
+			{"over the bound", maxRequestBytes, http.StatusRequestEntityTooLarge},
+		} {
+			body := `{"scenario":"` + strings.Repeat("x", tc.size) + `"}`
+			resp, err := http.Post(ts.URL+route, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var envelope map[string]string
+			decodeErr := json.NewDecoder(resp.Body).Decode(&envelope)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("POST %s %s: status = %d, want %d", route, tc.name, resp.StatusCode, tc.want)
+			}
+			if decodeErr != nil || envelope["error"] == "" {
+				t.Errorf("POST %s %s: no JSON error envelope (%v)", route, tc.name, decodeErr)
+			}
+		}
 	}
 }
 

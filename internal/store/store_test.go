@@ -298,18 +298,54 @@ func TestAcquireConcurrentOneFillPerKey(t *testing.T) {
 func TestPayloadRoundTrip(t *testing.T) {
 	p := Payload{}
 	p.Metrics.TargetsVisited = 42
-	raw, err := p.Encode()
+	raw, err := p.encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodePayload(raw)
+	back, err := decodePayload(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.Metrics.TargetsVisited != 42 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
-	if _, err := DecodePayload([]byte("not json")); err == nil {
-		t.Fatal("DecodePayload accepted garbage")
+	if _, err := decodePayload([]byte("not json")); err == nil {
+		t.Fatal("decodePayload accepted garbage")
 	}
+}
+
+// TestLookupCellProtocol pins the cell protocol sweeps and certifications
+// share: a miss leads a fill, a failed fill aborts and re-elects, a finished
+// fill is read back decoded, and an undecodable entry is recomputed.
+func TestLookupCellProtocol(t *testing.T) {
+	ctx := context.Background()
+	ts := NewTiered(Options{})
+	defer ts.Close()
+
+	if _, ok, fill := ts.Lookup(ctx, testKey); ok || fill == nil {
+		t.Fatalf("first Lookup: ok=%v fill=%v, want a leader fill", ok, fill)
+	} else {
+		fill.Finish(ctx, Payload{}, fmt.Errorf("simulation failed"))
+	}
+	_, ok, fill := ts.Lookup(ctx, testKey)
+	if ok || fill == nil {
+		t.Fatalf("Lookup after a failed fill: ok=%v fill=%v, want a new leader", ok, fill)
+	}
+	want := Payload{}
+	want.Metrics.TargetsVisited = 7
+	fill.Finish(ctx, want, nil)
+	got, ok, fill := ts.Lookup(ctx, testKey)
+	if !ok || fill != nil || got.Metrics.TargetsVisited != 7 {
+		t.Fatalf("Lookup after Finish = %+v, %v, %v; want the stored payload", got, ok, fill)
+	}
+	if st := ts.Stats(); st.Fills != 1 || st.Aborts != 1 {
+		t.Errorf("fills = %d, aborts = %d; want 1, 1", st.Fills, st.Aborts)
+	}
+
+	const corrupt = "fedcba9876543210fedcba9876543210"
+	ts.Put(ctx, corrupt, []byte("not json"))
+	if _, ok, fill := ts.Lookup(ctx, corrupt); ok || fill != nil {
+		t.Errorf("Lookup of an undecodable entry: ok=%v fill=%v, want neither", ok, fill)
+	}
+	(*Fill)(nil).Finish(ctx, want, nil) // no caching duties: a no-op
 }
