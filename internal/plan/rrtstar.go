@@ -3,8 +3,8 @@ package plan
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 
 	"repro/internal/geom"
 )
@@ -146,7 +146,7 @@ type rrtNode struct {
 func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 	bounds := r.ws.Bounds()
 	nodes := append(r.nodes[:0], rrtNode{pos: start, parent: -1})
-	r.nn.reset(bounds, r.cfg.NeighborRadius)
+	r.nn.reset(bounds, r.cfg.NeighborRadius, r.cfg.MaxIters+1)
 	r.nn.insert(0, start)
 	bestGoal := -1
 	bestCost := math.Inf(1)
@@ -163,7 +163,7 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 				bounds.Min.Z+r.rng.Float64()*size.Z,
 			)
 		}
-		nearest := r.nearest(nodes, sample)
+		nearest := r.nearest(sample)
 		newPos := r.steer(nodes[nearest].pos, sample)
 		if !r.pointFree(newPos) {
 			continue
@@ -174,11 +174,11 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		// Choose parent: lowest cost among neighbours with a free edge.
 		parent := nearest
 		cost := nodes[nearest].cost + nodes[nearest].pos.Dist(newPos)
-		neighbors := r.near(nodes, newPos)
+		neighbors := r.near(newPos)
 		for _, n := range neighbors {
-			c := nodes[n].cost + nodes[n].pos.Dist(newPos)
-			if c < cost && r.edgeFree(nodes[n].pos, newPos) {
-				parent, cost = n, c
+			c := nodes[n.idx].cost + n.dist
+			if c < cost && r.edgeFree(nodes[n.idx].pos, newPos) {
+				parent, cost = n.idx, c
 			}
 		}
 		nodes = append(nodes, rrtNode{pos: newPos, parent: parent, cost: cost})
@@ -186,10 +186,10 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 		r.nn.insert(newIdx, newPos)
 		// Rewire neighbours through the new node when cheaper.
 		for _, n := range neighbors {
-			c := cost + newPos.Dist(nodes[n].pos)
-			if c < nodes[n].cost && r.edgeFree(newPos, nodes[n].pos) {
-				nodes[n].parent = newIdx
-				nodes[n].cost = c
+			c := cost + n.dist
+			if c < nodes[n.idx].cost && r.edgeFree(newPos, nodes[n.idx].pos) {
+				nodes[n.idx].parent = newIdx
+				nodes[n.idx].cost = c
 			}
 		}
 		if d := newPos.Dist(goal); d <= r.cfg.GoalTolerance {
@@ -224,34 +224,29 @@ func (r *RRTStar) Plan(start, goal geom.Vec3) (Plan, error) {
 
 // nearest returns the index of the node closest to p — the lexicographic
 // (distance, index) minimum, exactly as the reference linear scan computes it
-// — via expanding Chebyshev shells over the NN grid.
-func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
+// — via expanding Chebyshev shells over the NN grid. It skips every cell
+// farther than the best distance along some axis and stops at the first
+// shell it skips entirely: each cell of a later shell is at least as far
+// along that axis as the shell cell on its way to p, so none can win or tie.
+func (r *RRTStar) nearest(p geom.Vec3) int {
 	g := &r.nn
 	cqx := g.axisOf(p.X, g.origin.X, g.nx)
 	cqy := g.axisOf(p.Y, g.origin.Y, g.ny)
 	cqz := g.axisOf(p.Z, g.origin.Z, g.nz)
-	best, bestD := 0, math.Inf(1)
-	maxRing := g.nx
-	if g.ny > maxRing {
-		maxRing = g.ny
-	}
-	if g.nz > maxRing {
-		maxRing = g.nz
-	}
-	for ring := 0; ring <= maxRing; ring++ {
-		// Any node in ring r is at least (r-1)·cell away; once that exceeds
-		// bestD (with one cell of float slack) no farther ring can win or tie.
-		if !math.IsInf(bestD, 1) && float64(ring-1)*g.cell > bestD+g.cell {
-			break
-		}
+	slack := g.slack(p)
+	best, bestD, bestSq := 0, math.Inf(1), math.Inf(1)
+	for ring := 0; ; ring++ {
+		// A cell whose gap along any axis exceeds bestD (plus slack) holds
+		// no node that can win or tie: skip it, or its whole row or plane.
+		scanned := false
 		for dz := -ring; dz <= ring; dz++ {
 			cz := cqz + dz
-			if cz < 0 || cz >= g.nz {
+			if cz < 0 || cz >= g.nz || g.cellGap(p.Z, g.origin.Z, cz, g.nz)-slack > bestD {
 				continue
 			}
 			for dy := -ring; dy <= ring; dy++ {
 				cy := cqy + dy
-				if cy < 0 || cy >= g.ny {
+				if cy < 0 || cy >= g.ny || g.cellGap(p.Y, g.origin.Y, cy, g.ny)-slack > bestD {
 					continue
 				}
 				for dx := -ring; dx <= ring; dx++ {
@@ -260,50 +255,115 @@ func (r *RRTStar) nearest(nodes []rrtNode, p geom.Vec3) int {
 						continue
 					}
 					cx := cqx + dx
-					if cx < 0 || cx >= g.nx {
+					if cx < 0 || cx >= g.nx || g.cellGap(p.X, g.origin.X, cx, g.nx)-slack > bestD {
 						continue
 					}
-					for _, ni := range g.buckets[(cz*g.ny+cy)*g.nx+cx] {
-						i := int(ni)
-						d := nodes[i].pos.Dist(p)
+					scanned = true
+					for _, e := range g.buckets[(cz*g.ny+cy)*g.nx+cx] {
+						// Only a node with d <= bestD can win or tie, and its
+						// square is within a few ulps of bestD²: the widened
+						// bestSq admits it, and the exact test on d decides.
+						s := e.pos.Sub(p).NormSq()
+						if s > bestSq {
+							continue
+						}
+						d, i := math.Sqrt(s), int(e.idx)
 						if d < bestD || (d == bestD && i < best) {
-							best, bestD = i, d
+							best, bestD, bestSq = i, d, s*(1+nnSlack)
 						}
 					}
 				}
 			}
 		}
+		if !scanned {
+			return best
+		}
 	}
-	return best
 }
 
-// near returns the indices of all nodes within NeighborRadius of p in
-// ascending order, exactly as the reference linear scan returns them. The
-// returned slice is planner scratch, valid until the next near call.
-func (r *RRTStar) near(nodes []rrtNode, p geom.Vec3) []int {
+// slack is the absolute margin the grid bounds leave around a query at p
+// for the rounding of cell assignment, face coordinates and distances: all
+// a few ulps of coordinates of this magnitude.
+func (g *nnGrid) slack(p geom.Vec3) float64 {
+	return nnSlack * (g.mag + math.Abs(p.X) + math.Abs(p.Y) + math.Abs(p.Z))
+}
+
+// cellGap is the distance along one axis from coordinate v to cell c, zero
+// when v is inside it; it grows with c's distance from v's cell. Edge cells
+// extend to infinity outward, because out-of-bounds nodes are clamped into
+// them, so a clamped node is never nearer than its cell's gap.
+func (g *nnGrid) cellGap(v, origin float64, c, n int) float64 {
+	if c > 0 {
+		if d := origin + float64(c)*g.cell - v; d > 0 {
+			return d
+		}
+	}
+	if c < n-1 {
+		if d := v - (origin + float64(c+1)*g.cell); d > 0 {
+			return d
+		}
+	}
+	return 0
+}
+
+// neighbor is one near() hit: a node index and its distance from the query,
+// bit-identical to nodes[idx].pos.Dist(query) and query.Dist(nodes[idx].pos).
+type neighbor struct {
+	idx  int
+	dist float64
+}
+
+// near returns all nodes within NeighborRadius of p in ascending index
+// order, exactly as the reference linear scan returns them, each with its
+// distance. Hits are collected in a bitset over node indices and read back
+// in word order, so the order costs no sort. The returned slice is planner
+// scratch, valid until the next near call.
+func (r *RRTStar) near(p geom.Vec3) []neighbor {
 	g := &r.nn
 	rad := r.cfg.NeighborRadius
-	lox := g.axisOf(p.X-rad, g.origin.X, g.nx)
-	hix := g.axisOf(p.X+rad, g.origin.X, g.nx)
-	loy := g.axisOf(p.Y-rad, g.origin.Y, g.ny)
-	hiy := g.axisOf(p.Y+rad, g.origin.Y, g.ny)
-	loz := g.axisOf(p.Z-rad, g.origin.Z, g.nz)
-	hiz := g.axisOf(p.Z+rad, g.origin.Z, g.nz)
-	out := g.nearBuf[:0]
+	// A node with Dist(p) <= rad has a square within a few ulps of rad²: the
+	// widened radSq admits it, and the exact test on the root decides.
+	radSq := rad * rad * (1 + nnSlack)
+	// The scanned block reaches past the radius by the rounding slack, so a
+	// hit whose coordinates round across a cell face is still inside it.
+	reach := rad + g.slack(p)
+	lox := g.axisOf(p.X-reach, g.origin.X, g.nx)
+	hix := g.axisOf(p.X+reach, g.origin.X, g.nx)
+	loy := g.axisOf(p.Y-reach, g.origin.Y, g.ny)
+	hiy := g.axisOf(p.Y+reach, g.origin.Y, g.ny)
+	loz := g.axisOf(p.Z-reach, g.origin.Z, g.nz)
+	hiz := g.axisOf(p.Z+reach, g.origin.Z, g.nz)
+	loW, hiW := len(g.hits), -1
 	for cz := loz; cz <= hiz; cz++ {
 		for cy := loy; cy <= hiy; cy++ {
 			base := (cz*g.ny + cy) * g.nx
 			for cx := lox; cx <= hix; cx++ {
-				for _, ni := range g.buckets[base+cx] {
-					i := int(ni)
-					if nodes[i].pos.Dist(p) <= rad {
-						out = append(out, i)
+				for _, e := range g.buckets[base+cx] {
+					s := e.pos.Sub(p).NormSq()
+					if s > radSq {
+						continue
 					}
+					d := math.Sqrt(s)
+					if d > rad {
+						continue
+					}
+					i := int(e.idx)
+					w := i >> 6
+					g.hits[w] |= 1 << (i & 63)
+					g.hitDist[i] = d
+					loW, hiW = min(loW, w), max(hiW, w)
 				}
 			}
 		}
 	}
-	sort.Ints(out)
+	out := g.nearBuf[:0]
+	for w := loW; w <= hiW; w++ {
+		for b := g.hits[w]; b != 0; b &= b - 1 {
+			i := w<<6 | bits.TrailingZeros64(b)
+			out = append(out, neighbor{idx: i, dist: g.hitDist[i]})
+		}
+		g.hits[w] = 0
+	}
 	g.nearBuf = out
 	return out
 }
@@ -332,32 +392,58 @@ func (r *RRTStar) nearLinear(nodes []rrtNode, p geom.Vec3) []int {
 	return out
 }
 
+// nnSlack is the relative float slack of the grid queries' exact bounds:
+// orders of magnitude above the few-ulp rounding they must absorb, orders
+// of magnitude below any gap that would change which cells are scanned.
+const nnSlack = 1e-9
+
 // nnGrid is a uniform-grid point index over tree nodes with cell edge equal
-// to the rewiring radius: near() inspects at most 3 cells per axis and
-// nearest() nearly always terminates in the first shell. Buckets are reused
-// across Plan calls.
+// to the rewiring radius: near() inspects 3 cells per axis (4 only within
+// the rounding slack of a face), and nearest() stops at the first shell
+// that lies wholly farther than its best candidate — usually the first.
+// Each bucket entry carries its node's position, so scans never touch the
+// node array. Buckets and scratch are reused across Plan calls.
 type nnGrid struct {
 	origin     geom.Vec3
 	cell       float64
 	nx, ny, nz int
-	buckets    [][]int32
-	nearBuf    []int
+	// mag bounds the magnitude of in-grid coordinates, scaling slack.
+	mag     float64
+	buckets [][]nnEntry
+	// hits is near's ordering bitset over node indices, all zero between
+	// calls; hitDist holds each hit's distance while its bit is set.
+	hits    []uint64
+	hitDist []float64
+	nearBuf []neighbor
 }
 
-func (g *nnGrid) reset(bounds geom.AABB, cell float64) {
+// nnEntry is one node in an nnGrid bucket.
+type nnEntry struct {
+	pos geom.Vec3
+	idx int32
+}
+
+// reset empties the grid for up to maxNodes nodes over bounds.
+func (g *nnGrid) reset(bounds geom.AABB, cell float64, maxNodes int) {
 	size := bounds.Size()
 	g.origin = bounds.Min
 	g.cell = cell
 	g.nx = gridAxisCells(size.X, cell)
 	g.ny = gridAxisCells(size.Y, cell)
 	g.nz = gridAxisCells(size.Z, cell)
+	g.mag = math.Abs(g.origin.X) + math.Abs(g.origin.Y) + math.Abs(g.origin.Z) +
+		float64(g.nx+g.ny+g.nz)*cell
 	n := g.nx * g.ny * g.nz
 	if cap(g.buckets) < n {
-		g.buckets = make([][]int32, n)
+		g.buckets = make([][]nnEntry, n)
 	}
 	g.buckets = g.buckets[:n]
 	for i := range g.buckets {
 		g.buckets[i] = g.buckets[i][:0]
+	}
+	if len(g.hitDist) < maxNodes {
+		g.hitDist = make([]float64, maxNodes)
+		g.hits = make([]uint64, (maxNodes+63)/64)
 	}
 }
 
@@ -389,12 +475,13 @@ func (g *nnGrid) axisOf(v, origin float64, n int) int {
 	return 0
 }
 
+// insert adds node idx (below reset's maxNodes) at p.
 func (g *nnGrid) insert(idx int, p geom.Vec3) {
 	cx := g.axisOf(p.X, g.origin.X, g.nx)
 	cy := g.axisOf(p.Y, g.origin.Y, g.ny)
 	cz := g.axisOf(p.Z, g.origin.Z, g.nz)
 	ci := (cz*g.ny+cy)*g.nx + cx
-	g.buckets[ci] = append(g.buckets[ci], int32(idx))
+	g.buckets[ci] = append(g.buckets[ci], nnEntry{pos: p, idx: int32(idx)})
 }
 
 func (r *RRTStar) steer(from, to geom.Vec3) geom.Vec3 {
