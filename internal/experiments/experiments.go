@@ -1,9 +1,9 @@
 // Package experiments implements the reproduction of every figure and table
-// in the paper's evaluation (Section V), shared by the bench_test.go harness
-// at the repository root and the cmd/soter-bench tool. Each experiment is a
-// pure function from a seeded configuration to a result value whose Format
-// method prints the rows/series the paper reports; `go test -bench .
-// -benchtime 1x` regenerates all of them.
+// in the paper's evaluation (Section V). Each experiment is a pure function
+// from a seeded configuration to a result value whose Format method prints
+// the rows/series the paper reports. Catalogue lists them once, with their
+// full and quick configurations; cmd/soter-bench and the root benchmarks
+// (`go test -bench . -benchtime 1x`) both iterate it.
 package experiments
 
 import (

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math/rand"
 	"time"
 
@@ -14,6 +15,9 @@ import (
 type Fig10Config struct {
 	Seed    int64
 	Samples int
+	// Context, when non-nil, cancels the sampling: it is checked between
+	// samples.
+	Context context.Context
 }
 
 // Fig10Result reports the regions of operation of Figure 10 (fractions of
@@ -49,6 +53,7 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	if cfg.Samples <= 0 {
 		cfg.Samples = 4000
 	}
+	ctx := runCtx(cfg.Context)
 	ws := geom.CityWorkspace()
 	params := plant.DefaultParams()
 	aws, err := mission.AnalysisWorkspace(ws)
@@ -67,6 +72,9 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	b := ws.Bounds()
 	size := b.Size()
 	for i := 0; i < cfg.Samples; i++ {
+		if err := ctx.Err(); err != nil {
+			return Fig10Result{}, err
+		}
 		pos := geom.V(
 			b.Min.X+rng.Float64()*size.X,
 			b.Min.Y+rng.Float64()*size.Y,
@@ -102,6 +110,9 @@ func Fig10(cfg Fig10Config) (Fig10Result, error) {
 	// differently, so we report agreement rather than require equality.
 	agree, total := 0, 0
 	for i := 0; i < cfg.Samples/2; i++ {
+		if err := ctx.Err(); err != nil {
+			return Fig10Result{}, err
+		}
 		pos, ok := ws.RandomFreePoint(rng, 0.45, 128)
 		if !ok {
 			continue

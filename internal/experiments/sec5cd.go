@@ -22,7 +22,8 @@ type Sec5cConfig struct {
 	// ClosedLoop additionally runs the full stack with the buggy planner
 	// under RTA protection.
 	ClosedLoop time.Duration
-	// Context, when non-nil, cancels the closed-loop run.
+	// Context, when non-nil, cancels the experiment: it is checked between
+	// planner queries and threaded into the closed-loop run.
 	Context context.Context
 }
 
@@ -84,9 +85,13 @@ func Sec5c(cfg Sec5cConfig) (Sec5cResult, error) {
 		return Sec5cResult{}, err
 	}
 
+	ctx := runCtx(cfg.Context)
 	res := Sec5cResult{Queries: cfg.Queries}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for i := 0; i < cfg.Queries; i++ {
+		if err := ctx.Err(); err != nil {
+			return Sec5cResult{}, err
+		}
 		start, ok1 := ws.RandomFreePoint(rng, margin+0.6, 256)
 		goal, ok2 := ws.RandomFreePoint(rng, margin+0.6, 256)
 		if !ok1 || !ok2 {
@@ -117,7 +122,7 @@ func Sec5c(cfg Sec5cConfig) (Sec5cResult, error) {
 		if err != nil {
 			return Sec5cResult{}, fmt.Errorf("sec5c closed loop: %w", err)
 		}
-		rcfg.Context = runCtx(cfg.Context)
+		rcfg.Context = ctx
 		out, err := sim.Run(rcfg)
 		if err != nil {
 			return Sec5cResult{}, fmt.Errorf("sec5c closed loop: %w", err)
