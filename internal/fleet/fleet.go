@@ -27,8 +27,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/rta"
-	soterruntime "repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -86,24 +84,13 @@ type MissionResult struct {
 	// Metrics is the zero value when Err is non-nil.
 	Metrics sim.Metrics
 	// Switches is the run's full DM switch log (AC→SC and back).
-	Switches []soterruntime.Switch
+	Switches []sim.Switch
 	// Wall is the wall-clock time this mission took inside its worker.
 	Wall time.Duration
 	// Cached marks a result served through Options.Reuse instead of a fresh
 	// simulation.
 	Cached bool
 	Err    error
-}
-
-// Disengagements counts the AC→SC switches of the run.
-func (r MissionResult) Disengagements() int {
-	n := 0
-	for _, sw := range r.Switches {
-		if sw.To == rta.ModeSC {
-			n++
-		}
-	}
-	return n
 }
 
 // Report aggregates a batch run.

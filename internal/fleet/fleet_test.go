@@ -16,6 +16,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/plant"
+	"repro/internal/rta"
 	"repro/internal/sim"
 )
 
@@ -92,7 +93,7 @@ func TestFleetDeterministic(t *testing.T) {
 }
 
 // TestFleetAggregates checks the report's switch accounting against the
-// per-result logs.
+// per-result metrics, and each result's metrics against its switch log.
 func TestFleetAggregates(t *testing.T) {
 	missions := SeedSweep("agg", Seeds(7, 3), func(seed int64) (sim.RunConfig, error) {
 		cfg, err := surveillanceMission(seed)
@@ -105,10 +106,19 @@ func TestFleetAggregates(t *testing.T) {
 	}
 	wantDiseng := 0
 	for _, res := range rep.Results {
-		wantDiseng += res.Disengagements()
+		logged := 0
+		for _, sw := range res.Switches {
+			if sw.To == rta.ModeSC {
+				logged++
+			}
+		}
+		if n := res.Metrics.TotalDisengagements(); n != logged {
+			t.Errorf("mission %s: metrics count %d disengagements, switch log %d", res.Name, n, logged)
+		}
+		wantDiseng += res.Metrics.TotalDisengagements()
 	}
 	if rep.Disengagements != wantDiseng {
-		t.Errorf("report disengagements = %d, switch logs say %d", rep.Disengagements, wantDiseng)
+		t.Errorf("report disengagements = %d, mission metrics say %d", rep.Disengagements, wantDiseng)
 	}
 	for _, name := range rep.SortedModuleNames() {
 		s := rep.ModuleStats(name)

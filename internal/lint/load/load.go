@@ -5,9 +5,13 @@
 // reading that export data back as *types.Package.
 //
 // The loader shells out to `go list` exactly once, parses and type-checks
-// only the packages of this module from source (analyzers need syntax and
-// positions for them), and resolves every import — stdlib or module-internal
-// — through the export data the build cache already holds. Test variants
+// the packages of this module from source (analyzers need syntax and
+// positions for them), and resolves every other import — stdlib or vendored
+// — through the export data the build cache already holds. A module package
+// that is only a dependency of the matched ones is source-checked too,
+// without being returned: read from export data, it would bring its own
+// copy of every module package it imports, and a matched package seeing
+// both copies fails to type-check. Test variants
 // ("p [p.test]") and external test packages ("p_test [p.test]") are loaded
 // from source too, so analyzers see test files (the eventkind analyzer's
 // round-trip-corpus check depends on that).
@@ -76,6 +80,7 @@ type listPackage struct {
 	GoFiles      []string
 	XTestGoFiles []string
 	ImportMap    map[string]string
+	Module       *struct{ Main bool }
 	Error        *listError
 	DepsErrors   []*listError
 }
@@ -94,7 +99,7 @@ func Load(cfg Config) ([]*Package, error) {
 		patterns = []string{"./..."}
 	}
 	args := []string{"list", "-e", "-deps", "-export",
-		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,ForTest,GoFiles,XTestGoFiles,ImportMap,Error,DepsErrors"}
+		"-json=ImportPath,Name,Dir,Export,Standard,DepOnly,ForTest,GoFiles,XTestGoFiles,ImportMap,Module,Error,DepsErrors"}
 	if cfg.Tests {
 		args = append(args, "-test")
 	}
@@ -231,8 +236,9 @@ func (ld *loader) fromSource(p *listPackage) (*Package, error) {
 }
 
 // importOf resolves one import path as seen from a package with the given
-// import map: test variants first (from source, so test-only symbols exist),
-// then compiled export data for everything else.
+// import map: this module's packages and test variants from source (one
+// *types.Package per path, and test-only symbols exist), compiled export
+// data for everything else.
 func (ld *loader) importOf(path string, importMap map[string]string) (*types.Package, error) {
 	if mapped, ok := importMap[path]; ok {
 		path = mapped
@@ -240,12 +246,14 @@ func (ld *loader) importOf(path string, importMap map[string]string) (*types.Pac
 	if tp, ok := ld.memo[path]; ok {
 		return tp, nil
 	}
-	if strings.Contains(path, " [") {
-		// A test variant: its export data describes the base path, which
-		// would collide with the ordinary package in the gc importer's
-		// cache, so type-check it from source instead.
-		p, ok := ld.byPath[path]
-		if !ok {
+	p, listed := ld.byPath[path]
+	testVariant := strings.Contains(path, " [")
+	if testVariant || (listed && p.Module != nil && p.Module.Main) {
+		// A test variant's export data describes the base path, which would
+		// collide with the ordinary package in the gc importer's cache; a
+		// module package's export data would make the gc importer build its
+		// own copies of the module packages it references.
+		if !listed {
 			return nil, fmt.Errorf("unknown test variant %q", path)
 		}
 		pkg, err := ld.fromSource(p)

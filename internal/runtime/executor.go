@@ -53,20 +53,6 @@ func (f EnvironmentFunc) Advance(prev, now time.Duration, topics *pubsub.Store) 
 // permutation; the executor validates it).
 type ScheduleOrder func(ct time.Duration, firing []string) []string
 
-// Switch records a decision-module mode change — a disengagement when
-// From = AC (the SC "takes over"), a re-engagement when From = SC.
-type Switch struct {
-	Time   time.Duration
-	Module string
-	From   rta.Mode
-	To     rta.Mode
-	// Reason explains the decision (ttf-trip, recovery, clamped, ...).
-	Reason rta.SwitchReason
-	// Coordinated marks a forced demotion through a coordinated-switching
-	// link rather than the module's own DM decision.
-	Coordinated bool
-}
-
 // InvariantViolationError reports that the Theorem 3.1 invariant φInv (or the
 // safety predicate φsafe) failed at a DM sampling instant.
 type InvariantViolationError struct {
@@ -120,26 +106,6 @@ func WithObservers(observers ...obs.Observer) Option {
 	return func(e *Executor) { e.observers = append(e.observers, observers...) }
 }
 
-// WithSwitchHook registers a callback invoked on every DM mode change. It is
-// a shim over the observer layer — equivalent to WithObservers with an
-// observer interested only in obs.ModeSwitch events.
-func WithSwitchHook(fn func(Switch)) Option {
-	return WithObservers(switchHook(fn))
-}
-
-// switchHook adapts a legacy switch callback to the observer layer.
-type switchHook func(Switch)
-
-// OnEvent implements obs.Observer.
-func (h switchHook) OnEvent(e obs.Event) {
-	if sw, ok := e.(obs.ModeSwitch); ok {
-		h(Switch{Time: sw.T, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
-	}
-}
-
-// Interests implements obs.Interested.
-func (h switchHook) Interests() obs.KindSet { return obs.Kinds(obs.KindModeSwitch) }
-
 // WithDropFilter installs a firing filter: before a node fires, drop(ct,
 // name) is consulted and, when true, the firing is skipped (the node misses
 // its deadline). This models best-effort OS scheduling; Section V-D traces
@@ -183,8 +149,7 @@ type Executor struct {
 	fnBuf  []string
 	ordBuf []string
 
-	switches []Switch
-	steps    uint64
+	steps uint64
 }
 
 // New creates an executor for the system with the given extra environment
@@ -278,13 +243,6 @@ func (e *Executor) Mode(moduleName string) (rta.Mode, error) {
 func (e *Executor) OutputEnabled(nodeName string) bool {
 	en, tracked := e.cfg.OE[nodeName]
 	return !tracked || en
-}
-
-// Switches returns all recorded mode switches so far.
-func (e *Executor) Switches() []Switch {
-	out := make([]Switch, len(e.switches))
-	copy(out, e.switches)
-	return out
 }
 
 // Steps returns the number of discrete node firings executed.
@@ -473,7 +431,7 @@ func (e *Executor) fireDM(m *rta.Module, dmNode *node.Node, in pubsub.Valuation)
 	e.cfg.OE[m.SC().Name()] = !enAC
 
 	if mode != prev.Mode {
-		e.recordSwitch(Switch{Time: e.cfg.CT, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
+		e.recordSwitch(obs.ModeSwitch{T: e.cfg.CT, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
 		// Coordinated switching (Section VII): a disengagement demotes the
 		// coordinated partner modules to SC immediately.
 		if mode == rta.ModeSC {
@@ -491,16 +449,16 @@ func (e *Executor) fireDM(m *rta.Module, dmNode *node.Node, in pubsub.Valuation)
 	return nil
 }
 
-// recordSwitch appends to the switch log and emits the obs.ModeSwitch event.
-func (e *Executor) recordSwitch(sw Switch) {
-	e.switches = append(e.switches, sw)
+// recordSwitch emits the obs.ModeSwitch event — the executor's only report
+// of a mode change.
+func (e *Executor) recordSwitch(sw obs.ModeSwitch) {
 	if list := e.byKind[obs.KindModeSwitch]; len(list) > 0 {
-		obs.Emit(list, obs.ModeSwitch{T: sw.Time, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
+		obs.Emit(list, sw)
 	}
 }
 
 // forceCoordinated demotes every module coordinated with the trigger to SC
-// mode, updating their DM state and output enables and recording the forced
+// mode, updating their DM state and output enables and emitting the forced
 // switches. The partner's policy state is preserved — its next own decision
 // sees Mode = SC and (by the policy contract) treats the demotion like any
 // other entry into SC mode.
@@ -514,8 +472,8 @@ func (e *Executor) forceCoordinated(trigger *rta.Module) {
 		e.cfg.Local[dmName] = rta.DMState{Mode: rta.ModeSC, Reason: rta.ReasonCoordinated, Policy: prev.Policy}
 		e.cfg.OE[partner.AC().Name()] = false
 		e.cfg.OE[partner.SC().Name()] = true
-		e.recordSwitch(Switch{
-			Time:        e.cfg.CT,
+		e.recordSwitch(obs.ModeSwitch{
+			T:           e.cfg.CT,
 			Module:      partner.Name(),
 			From:        prev.Mode,
 			To:          rta.ModeSC,

@@ -77,6 +77,16 @@ func testModule(t *testing.T, delta time.Duration) *rta.Module {
 	return m
 }
 
+// switchLog collects the executor's ModeSwitch events in emission order.
+type switchLog []obs.ModeSwitch
+
+// OnEvent implements obs.Observer.
+func (l *switchLog) OnEvent(e obs.Event) {
+	if sw, ok := e.(obs.ModeSwitch); ok {
+		*l = append(*l, sw)
+	}
+}
+
 func newTestExec(t *testing.T, m *rta.Module, opts ...Option) *Executor {
 	t.Helper()
 	sys, err := rta.NewSystem([]*rta.Module{m}, nil)
@@ -115,7 +125,8 @@ func TestInitialConfiguration(t *testing.T) {
 
 func TestOutputGating(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
-	exec := newTestExec(t, m)
+	var sw switchLog
+	exec := newTestExec(t, m, WithObservers(&sw))
 	// At t=100ms: DM fires first (mode stays SC since calm=false), then both
 	// controllers fire; only SC's output lands on the topic.
 	if err := exec.RunUntil(100 * time.Millisecond); err != nil {
@@ -148,28 +159,12 @@ func TestOutputGating(t *testing.T) {
 	if v, _ := exec.Topics().Get("who"); v != "SC" {
 		t.Errorf("who after danger = %v, want SC", v)
 	}
-	// Switches were recorded in order.
-	sw := exec.Switches()
+	// Switches were emitted in order.
 	if len(sw) != 2 || sw[0].To != rta.ModeAC || sw[1].To != rta.ModeSC {
-		t.Errorf("switches = %v", sw)
+		t.Fatalf("switches = %v", sw)
 	}
-}
-
-func TestSwitchHook(t *testing.T) {
-	m := testModule(t, 100*time.Millisecond)
-	var got []Switch
-	exec := newTestExec(t, m, WithSwitchHook(func(s Switch) { got = append(got, s) }))
-	if err := exec.Topics().Set("calm", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunUntil(150 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Module != "tm" || got[0].From != rta.ModeSC || got[0].To != rta.ModeAC {
-		t.Errorf("hook switches = %v", got)
-	}
-	if got[0].Time != 100*time.Millisecond {
-		t.Errorf("switch time = %v", got[0].Time)
+	if sw[0].Module != "tm" || sw[0].From != rta.ModeSC || sw[0].T != 200*time.Millisecond {
+		t.Errorf("first switch = %+v, want tm SC→AC at 200ms", sw[0])
 	}
 }
 
@@ -409,10 +404,11 @@ func TestCoordinatedSwitching(t *testing.T) {
 		t.Error("unknown module accepted")
 	}
 
+	var switches switchLog
 	exec, err := New(sys, []pubsub.Topic{
 		{Name: "a/danger", Default: false}, {Name: "a/calm", Default: true},
 		{Name: "b/danger", Default: false}, {Name: "b/calm", Default: true},
-	})
+	}, WithObservers(&switches))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,9 +441,8 @@ func TestCoordinatedSwitching(t *testing.T) {
 	if !exec.OutputEnabled("B.sc") || exec.OutputEnabled("B.ac") {
 		t.Error("coordinated demotion did not flip B's output enables")
 	}
-	var forced *Switch
-	for i := range exec.Switches() {
-		sw := exec.Switches()[i]
+	var forced *obs.ModeSwitch
+	for _, sw := range switches {
 		if sw.Module == "B" && sw.Coordinated {
 			forced = &sw
 			break
@@ -491,8 +486,8 @@ func TestRunHonoursContext(t *testing.T) {
 }
 
 // TestExecutorEventStream: the executor emits TimeProgress per instant,
-// NodeFired per firing (DMs flagged, drops flagged), and ModeSwitch events
-// identical to the switch log — in a deterministic order.
+// NodeFired per firing (DMs flagged, drops flagged), and a ModeSwitch per
+// mode change — in a deterministic order.
 func TestExecutorEventStream(t *testing.T) {
 	m := testModule(t, 100*time.Millisecond)
 	rec := obs.NewRecorder(0)
@@ -516,7 +511,7 @@ func TestExecutorEventStream(t *testing.T) {
 	}
 
 	var progresses, fired, dmFired, dropped int
-	var switches []Switch
+	var switches []obs.ModeSwitch
 	for _, e := range rec.Events() {
 		switch ev := e.(type) {
 		case obs.TimeProgress:
@@ -534,7 +529,7 @@ func TestExecutorEventStream(t *testing.T) {
 				dmFired++
 			}
 		case obs.ModeSwitch:
-			switches = append(switches, Switch{Time: ev.T, Module: ev.Module, From: ev.From, To: ev.To, Reason: ev.Reason, Coordinated: ev.Coordinated})
+			switches = append(switches, ev)
 		}
 	}
 	// 5 instants (100..500ms), each firing DM + both controllers; one SC
@@ -551,47 +546,11 @@ func TestExecutorEventStream(t *testing.T) {
 	if fired != 5*3-1 {
 		t.Errorf("executed firings = %d, want %d", fired, 5*3-1)
 	}
-	if !reflect.DeepEqual(switches, exec.Switches()) {
-		t.Errorf("ModeSwitch events %v diverge from switch log %v", switches, exec.Switches())
+	if len(switches) != 1 || switches[0].T != 100*time.Millisecond || switches[0].To != rta.ModeAC {
+		t.Errorf("ModeSwitch events = %v, want one SC→AC at 100ms", switches)
 	}
 	if uint64(fired) != exec.Steps() {
 		t.Errorf("NodeFired events %d != Steps() %d", fired, exec.Steps())
-	}
-}
-
-// TestSwitchHookIsObserverShim: the legacy hook and a ModeSwitch observer
-// see the identical switch sequence.
-func TestSwitchHookIsObserverShim(t *testing.T) {
-	m := testModule(t, 100*time.Millisecond)
-	var hooked, observed []Switch
-	exec := newTestExec(t, m,
-		WithSwitchHook(func(sw Switch) { hooked = append(hooked, sw) }),
-		WithObservers(obs.ObserverFunc(func(e obs.Event) {
-			if sw, ok := e.(obs.ModeSwitch); ok {
-				observed = append(observed, Switch{Time: sw.T, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
-			}
-		})),
-	)
-	if err := exec.Topics().Set("calm", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunUntil(300 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.Topics().Set("danger", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := exec.RunUntil(600 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if len(hooked) == 0 {
-		t.Fatal("no switches recorded; the comparison is vacuous")
-	}
-	if !reflect.DeepEqual(hooked, observed) {
-		t.Errorf("hook saw %v, observer saw %v", hooked, observed)
-	}
-	if !reflect.DeepEqual(hooked, exec.Switches()) {
-		t.Errorf("hook saw %v, switch log says %v", hooked, exec.Switches())
 	}
 }
 

@@ -35,9 +35,9 @@ func observedRun(t *testing.T, seed int64, observers ...obs.Observer) RunConfig 
 	}
 }
 
-// TestModeSwitchEventsMatchSwitchLog: the obs.ModeSwitch stream is exactly
-// the executor's switch log — same order, same payloads. This is the
-// acceptance contract tying -trace files to Executor.Switches().
+// TestModeSwitchEventsMatchSwitchLog: the obs.ModeSwitch stream a caller
+// observes is exactly the run's switch log — same order, same payloads. This
+// is the acceptance contract tying -trace files to Result.Switches.
 func TestModeSwitchEventsMatchSwitchLog(t *testing.T) {
 	rec := obs.NewRecorder(0)
 	res, err := Run(observedRun(t, 11, rec))

@@ -108,12 +108,29 @@ type RunConfig struct {
 	StopAfterVisits int
 }
 
-// Result bundles metrics with the optional trajectory and the executor's
-// switch log.
+// Switch records one decision-module mode change of a run — a disengagement
+// when From = AC (the SC "takes over"), a re-engagement when From = SC. It is
+// the persisted form of an obs.ModeSwitch event: the field names and order
+// (and the absence of JSON tags) are the encoding of stored results and
+// verdict digests, so they must not change.
+type Switch struct {
+	Time   time.Duration
+	Module string
+	From   rta.Mode
+	To     rta.Mode
+	// Reason explains the decision (ttf-trip, recovery, clamped, ...).
+	Reason rta.SwitchReason
+	// Coordinated marks a forced demotion through a coordinated-switching
+	// link rather than the module's own DM decision.
+	Coordinated bool
+}
+
+// Result bundles metrics with the optional trajectory and the run's mode
+// switches, in emission order.
 type Result struct {
 	Metrics    Metrics
 	Trajectory []TrajectoryPoint
-	Switches   []runtime.Switch
+	Switches   []Switch
 }
 
 // environment integrates the plant between discrete events and publishes the
@@ -171,12 +188,13 @@ func (e *environment) Advance(prev, now time.Duration, topics *pubsub.Store) err
 	return nil
 }
 
-// modeTracker caches the motion-primitive module's current mode from the
-// switch stream, so per-sub-step trajectory samples carry it without
-// querying the executor on the hot path.
+// modeTracker logs the run's mode switches from the event stream and caches
+// the motion-primitive module's current mode, so per-sub-step trajectory
+// samples carry it without querying the executor on the hot path.
 type modeTracker struct {
-	module string
-	mode   rta.Mode
+	module   string
+	mode     rta.Mode
+	switches []Switch
 }
 
 // Interests implements obs.Interested.
@@ -184,7 +202,12 @@ func (t *modeTracker) Interests() obs.KindSet { return obs.Kinds(obs.KindModeSwi
 
 // OnEvent implements obs.Observer.
 func (t *modeTracker) OnEvent(e obs.Event) {
-	if sw, ok := e.(obs.ModeSwitch); ok && sw.Module == t.module {
+	sw, ok := e.(obs.ModeSwitch)
+	if !ok {
+		return
+	}
+	t.switches = append(t.switches, Switch{Time: sw.T, Module: sw.Module, From: sw.From, To: sw.To, Reason: sw.Reason, Coordinated: sw.Coordinated})
+	if sw.Module == t.module {
 		t.mode = sw.To
 	}
 }
@@ -303,7 +326,9 @@ func Run(cfg RunConfig) (*Result, error) {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
 
-	tracker := &modeTracker{mode: rta.ModeSC}
+	// The switch log starts non-nil so a run without switches encodes as []
+	// rather than null in stored results and digests.
+	tracker := &modeTracker{mode: rta.ModeSC, switches: []Switch{}}
 	if pm := cfg.Stack.PrimitiveModule; pm != nil {
 		tracker.module = pm.Name()
 	} else {
@@ -415,7 +440,7 @@ func Run(cfg RunConfig) (*Result, error) {
 	res := &Result{
 		Metrics:    sink.Metrics(),
 		Trajectory: r.traj,
-		Switches:   exec.Switches(),
+		Switches:   tracker.switches,
 	}
 	return res, runErr
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	soterruntime "repro/internal/runtime"
 	"repro/internal/sim"
 )
 
@@ -17,8 +16,8 @@ import (
 // certification cells store through this type, which is what lets them share
 // entries.
 type Payload struct {
-	Metrics  sim.Metrics           `json:"metrics"`
-	Switches []soterruntime.Switch `json:"switches,omitempty"`
+	Metrics  sim.Metrics  `json:"metrics"`
+	Switches []sim.Switch `json:"switches,omitempty"`
 }
 
 // encode renders the payload as canonical JSON bytes for storage.

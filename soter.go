@@ -55,25 +55,21 @@
 // Level-Set Toolbox, the RRT* and A* planners, the battery monitor, the
 // closed-loop simulator and the bounded-asynchrony systematic-testing
 // engine. Above them sits the serving layer: named scenarios, the parallel
-// fleet engine, and the soter-serve HTTP service with its deterministic
-// result cache (re-exported below as the Service* and Job* vocabulary). See
+// fleet engine, falsification, certification and the soter-serve HTTP
+// service with its deterministic result store. This package re-exports only
+// the programming model; the serving layer is reached through its CLIs
+// (soter-serve, soter-falsify, soter-bench -certify) and HTTP routes. See
 // docs/ARCHITECTURE.md for the layer map and README.md for quickstarts.
 package soter
 
 import (
-	"context"
-	"io"
 	"time"
 
-	"repro/internal/certify"
-	"repro/internal/falsify"
 	"repro/internal/node"
 	"repro/internal/obs"
 	"repro/internal/pubsub"
 	"repro/internal/rta"
 	"repro/internal/runtime"
-	"repro/internal/service"
-	"repro/internal/store"
 )
 
 // Core vocabulary, re-exported from the internal implementation packages so
@@ -114,12 +110,8 @@ type (
 	PolicyFactory = rta.PolicyFactory
 	// DecisionContext is what a policy observes at a DM sampling instant.
 	DecisionContext = rta.DecisionContext
-	// DMState is a decision module's local state (mode + policy state).
-	DMState = rta.DMState
 	// SwitchReason explains a DM decision (ttf-trip, recovery, clamped, ...).
 	SwitchReason = rta.SwitchReason
-	// Certificate discharges the semantic obligations (P2a), (P2b), (P3).
-	Certificate = rta.Certificate
 	// System is a composition of RTA modules and plain nodes.
 	System = rta.System
 	// Executor runs a system under the Figure 11 operational semantics.
@@ -130,283 +122,41 @@ type (
 	Environment = runtime.Environment
 	// EnvironmentFunc adapts a function to Environment.
 	EnvironmentFunc = runtime.EnvironmentFunc
-	// Switch records a DM mode change.
-	Switch = runtime.Switch
 	// InvariantViolationError reports a φInv monitor failure.
 	InvariantViolationError = runtime.InvariantViolationError
 )
 
-// Observability vocabulary: one typed event stream, many composable
+// Observability vocabulary: the executor's typed event stream and its
 // consumers (see the internal/obs package).
 type (
 	// Event is the typed union of everything observable during a run.
 	Event = obs.Event
-	// EventKind identifies an event variant; KindSet is a mask of kinds an
-	// Observer may narrow its subscription to (see Interested).
+	// EventKind identifies an event variant.
 	EventKind = obs.Kind
-	// KindSet is a bitmask of event kinds.
-	KindSet = obs.KindSet
 	// Observer consumes a run's event stream.
 	Observer = obs.Observer
 	// ObserverFunc adapts a function to Observer.
 	ObserverFunc = obs.ObserverFunc
-	// Interested lets an Observer narrow the kinds it receives.
-	Interested = obs.Interested
-	// Multi fans one event stream out to many observers.
-	Multi = obs.Multi
 	// Recorder is the bounded in-memory event sink.
 	Recorder = obs.Recorder
-	// JSONLWriter streams events as JSON Lines.
-	JSONLWriter = obs.JSONLWriter
 
-	// The concrete event types (aliased so public Observers can type-switch
-	// without importing internal packages).
+	// The events an Executor emits (aliased so public Observers can
+	// type-switch without importing internal packages).
 
-	// RunStartEvent opens a run's stream.
-	RunStartEvent = obs.RunStart
-	// RunEndEvent closes a run's stream with the final state.
-	RunEndEvent = obs.RunEnd
 	// NodeFiredEvent reports one discrete node firing (or a dropped one).
 	NodeFiredEvent = obs.NodeFired
-	// ModeSwitchEvent reports a DM mode change.
+	// ModeSwitchEvent reports a DM mode change — the executor's only report
+	// of one.
 	ModeSwitchEvent = obs.ModeSwitch
 	// InvariantViolationEvent reports a φInv monitor failure.
 	InvariantViolationEvent = obs.InvariantViolation
 	// TimeProgressEvent reports a discrete time progress.
 	TimeProgressEvent = obs.TimeProgress
-	// TrajectorySampleEvent is one physics sub-step of the trajectory.
-	TrajectorySampleEvent = obs.TrajectorySample
-	// BatterySampleEvent is a periodic battery reading.
-	BatterySampleEvent = obs.BatterySample
-	// CrashEvent reports the entry into a collision episode.
-	CrashEvent = obs.Crash
-	// LandedEvent reports an intentional touchdown.
-	LandedEvent = obs.Landed
-	// CampaignProgressEvent reports a falsification campaign's progress.
-	CampaignProgressEvent = obs.CampaignProgress
-	// CounterexampleFoundEvent reports one distinct falsification find.
-	CounterexampleFoundEvent = obs.CounterexampleFound
-	// CertifyProgressEvent reports a certification campaign's per-batch state.
-	CertifyProgressEvent = obs.CertifyProgress
 )
-
-// Event kinds, for KindSet subscriptions.
-const (
-	KindRunStart           = obs.KindRunStart
-	KindRunEnd             = obs.KindRunEnd
-	KindNodeFired          = obs.KindNodeFired
-	KindModeSwitch         = obs.KindModeSwitch
-	KindInvariantViolation = obs.KindInvariantViolation
-	KindTimeProgress       = obs.KindTimeProgress
-	KindTrajectorySample   = obs.KindTrajectorySample
-	KindBatterySample      = obs.KindBatterySample
-	KindCrash              = obs.KindCrash
-	KindLanded             = obs.KindLanded
-	KindCampaignProgress   = obs.KindCampaignProgress
-	KindCounterexample     = obs.KindCounterexample
-	KindCertifyProgress    = obs.KindCertifyProgress
-)
-
-// Kinds builds a KindSet from the listed kinds; AllKinds selects every kind.
-func Kinds(ks ...EventKind) KindSet { return obs.Kinds(ks...) }
-
-// AllKinds selects every event kind.
-const AllKinds = obs.AllKinds
 
 // NewRecorder builds a bounded in-memory event recorder (capacity ≤ 0 uses
 // the default bound).
 func NewRecorder(capacity int) *Recorder { return obs.NewRecorder(capacity) }
-
-// NewJSONLWriter builds an event sink streaming JSON Lines to w.
-func NewJSONLWriter(w io.Writer) *JSONLWriter { return obs.NewJSONLWriter(w) }
-
-// MarshalEvent encodes an event as one JSON object with a "kind"
-// discriminator; UnmarshalEvent decodes it back; ReadJSONL replays a whole
-// recorded stream.
-func MarshalEvent(e Event) ([]byte, error) { return obs.MarshalEvent(e) }
-
-// UnmarshalEvent decodes one MarshalEvent line into its concrete event.
-func UnmarshalEvent(line []byte) (Event, error) { return obs.UnmarshalEvent(line) }
-
-// ReadJSONL decodes a recorded JSONL stream back into events.
-func ReadJSONL(r io.Reader) ([]Event, error) { return obs.ReadJSONL(r) }
-
-// Simulation-as-a-service vocabulary, re-exported from internal/service: the
-// layer cmd/soter-serve runs, for applications that want to embed the job
-// server (submit batch jobs against the scenario registry, stream obs events,
-// share the tiered result store) instead of shelling out to HTTP.
-type (
-	// ServiceConfig sizes a job server (incl. StoreDir/StoreMaxBytes/Peers,
-	// the result store's durable and distributed tiers).
-	ServiceConfig = service.Config
-	// ServiceServer accepts, schedules, stores and reports batch jobs.
-	ServiceServer = service.Server
-	// ServiceStats is the /stats payload (store counters, job tallies).
-	ServiceStats = service.Stats
-	// Job is one submitted batch with its live state.
-	Job = service.Job
-	// JobSpec is a batch simulation request (scenario, overrides, seeds).
-	JobSpec = service.JobSpec
-	// JobStatus is a job's lifecycle state.
-	JobStatus = service.Status
-	// JobOverrides is the declarative override set of a JobSpec.
-	JobOverrides = service.Overrides
-)
-
-// Result-store vocabulary, re-exported from internal/store: the durable,
-// sharded, deduplicated result store behind the serving layer. Every mission
-// is deterministic per (spec, seed), so its verdict is a content-addressed
-// artifact keyed by Spec.Fingerprint(seed); the store composes an in-memory
-// LRU, a crash-safe disk tier and a peer fetch-through tier behind one
-// interface, with a singleflight group collapsing concurrent identical
-// fills.
-type (
-	// ResultStore is the tier contract (Get/Put/Stats/Close by fingerprint).
-	ResultStore = store.Store
-	// TieredStore is the composed memory → disk → peers store the server runs.
-	TieredStore = store.Tiered
-	// StoreOptions configures a TieredStore's tiers.
-	StoreOptions = store.Options
-	// MemoryStore is tier 0: the in-process LRU.
-	MemoryStore = store.Memory
-	// DiskStore is tier 1: fingerprint-sharded crash-safe files.
-	DiskStore = store.Disk
-	// PeerStore is tier 2: rendezvous-hashed fetch-through from siblings.
-	PeerStore = store.Peers
-	// PeerStoreConfig configures a PeerStore.
-	PeerStoreConfig = store.PeersConfig
-	// StoreStats is the whole store's counter snapshot (/stats payload).
-	StoreStats = store.Stats
-	// StoreTierStats is one tier's counter snapshot.
-	StoreTierStats = store.TierStats
-	// StorePayload is the canonical stored form of one mission's verdict.
-	StorePayload = store.Payload
-)
-
-// NewTieredStore composes a result store from the configured tiers;
-// NewMemoryStore, NewDiskStore and NewPeerStore build the individual tiers.
-func NewTieredStore(opts StoreOptions) *TieredStore { return store.NewTiered(opts) }
-
-// NewMemoryStore builds the in-process LRU tier (capacity entries; 0 =
-// default).
-func NewMemoryStore(capacity int) *MemoryStore { return store.NewMemory(capacity) }
-
-// NewDiskStore opens the crash-safe disk tier rooted at dir (maxBytes 0 =
-// default 1 GiB).
-func NewDiskStore(dir string, maxBytes int64) (*DiskStore, error) {
-	return store.NewDisk(dir, maxBytes)
-}
-
-// NewPeerStore builds the peer fetch-through tier over sibling soter-serve
-// base URLs.
-func NewPeerStore(cfg PeerStoreConfig) (*PeerStore, error) { return store.NewPeers(cfg) }
-
-// Job lifecycle states.
-const (
-	JobQueued    = service.StatusQueued
-	JobRunning   = service.StatusRunning
-	JobDone      = service.StatusDone
-	JobFailed    = service.StatusFailed
-	JobCancelled = service.StatusCancelled
-)
-
-// NewService builds a job server and starts its runners; Close releases
-// them. Handler() adapts it to HTTP — cmd/soter-serve is exactly that
-// wiring plus graceful shutdown. It errors when the configured store tiers
-// cannot be opened.
-func NewService(cfg ServiceConfig) (*ServiceServer, error) { return service.New(cfg) }
-
-// Falsification vocabulary, re-exported from internal/falsify: adversarial
-// counterexample search over the scenario × policy × seed space. Campaigns
-// are deterministic given (strategy, seed, budget); counterexamples are
-// self-contained and replayable. The serving layer runs the same engine as
-// POST /falsify jobs (FalsifyJobSpec below).
-type (
-	// FalsifyConfig configures a falsification campaign.
-	FalsifyConfig = falsify.Config
-	// FalsifyResult is a campaign's deterministic ranked summary.
-	FalsifyResult = falsify.Result
-	// FalsifyParams is one point of the search space — the JSON delta a
-	// counterexample carries to be replayed over its base scenario.
-	FalsifyParams = falsify.Params
-	// FalsifyVerdict is the oracle's summary of one candidate execution.
-	FalsifyVerdict = falsify.Verdict
-	// Counterexample is one distinct falsifying execution, replayable.
-	Counterexample = falsify.Counterexample
-	// FalsifyStrategy decides how a campaign spends its execution budget.
-	FalsifyStrategy = falsify.Strategy
-	// FalsifyStrategyFactory builds a strategy from a "name:K" spec parameter.
-	FalsifyStrategyFactory = falsify.StrategyFactory
-	// CorpusEntry is the on-disk form of a counterexample (testdata corpora).
-	CorpusEntry = falsify.CorpusEntry
-	// FalsifyJobSpec is the serving layer's falsification-campaign request.
-	FalsifyJobSpec = service.FalsifyJobSpec
-)
-
-// Falsify runs one falsification campaign to completion (or cancellation).
-func Falsify(ctx context.Context, cfg FalsifyConfig) (*FalsifyResult, error) {
-	return falsify.Campaign(ctx, cfg)
-}
-
-// RegisterFalsifyStrategy adds a named search strategy to the falsification
-// registry. Built-ins: random (seeded uniform sampling, the default), guided
-// (hill-climb on the severity objective), schedule (bounded-asynchrony
-// interleaving enumeration).
-func RegisterFalsifyStrategy(name string, f FalsifyStrategyFactory) error {
-	return falsify.RegisterStrategy(name, f)
-}
-
-// FalsifyStrategyNames returns the registered strategy names, sorted.
-func FalsifyStrategyNames() []string { return falsify.StrategyNames() }
-
-// CanonicalFalsifyStrategySpec normalizes a strategy spec, making defaults
-// explicit ("" → "random", "guided" → "guided:8").
-func CanonicalFalsifyStrategySpec(spec string) (string, error) {
-	return falsify.CanonicalStrategySpec(spec)
-}
-
-// Certification vocabulary, re-exported from internal/certify: statistical
-// crash-probability certification of (scenario, overrides, policy) cells by
-// sequential seed sweeps with early stopping — "crash probability < 1e-3 at
-// 95% confidence" as a first-class, deterministic verdict. The serving layer
-// runs the same engine as POST /certify jobs (CertifyJobSpec below).
-type (
-	// CertifyConfig configures one certification cell and its test.
-	CertifyConfig = certify.Config
-	// CertifyResult is a certification campaign's deterministic summary.
-	CertifyResult = certify.Result
-	// CertifyVerdict is the campaign's terminal answer.
-	CertifyVerdict = certify.Verdict
-	// CertifyInterval is a confidence interval on the crash probability.
-	CertifyInterval = certify.Interval
-	// CertifyMatrixConfig sweeps one test over a scenarios × policies grid.
-	CertifyMatrixConfig = certify.MatrixConfig
-	// CertifyMatrixResult is the certification matrix with verdict tallies.
-	CertifyMatrixResult = certify.MatrixResult
-	// CertifyJobSpec is the serving layer's certification request.
-	CertifyJobSpec = service.CertifyJobSpec
-)
-
-// Certification verdicts.
-const (
-	// CertifiedVerdict: the interval's upper bound is below the threshold.
-	CertifiedVerdict = certify.VerdictCertified
-	// RefutedVerdict: the interval's lower bound is above the threshold.
-	RefutedVerdict = certify.VerdictRefuted
-	// InconclusiveVerdict: the budget ran out with the interval straddling.
-	InconclusiveVerdict = certify.VerdictInconclusive
-)
-
-// Certify runs one certification campaign to completion, early stop, or
-// cancellation (returning the partial result marked inconclusive).
-func Certify(ctx context.Context, cfg CertifyConfig) (*CertifyResult, error) {
-	return certify.Certify(ctx, cfg)
-}
-
-// CertifyMatrix certifies every cell of a scenarios × policies grid.
-func CertifyMatrix(ctx context.Context, mc CertifyMatrixConfig) (*CertifyMatrixResult, error) {
-	return certify.Matrix(ctx, mc)
-}
 
 // Modes.
 const (
@@ -416,7 +166,7 @@ const (
 	ModeAC = rta.ModeAC
 )
 
-// Switch reasons, as carried by ModeSwitchEvent.Reason and Switch.Reason.
+// Switch reasons, as carried by ModeSwitchEvent.Reason.
 const (
 	// ReasonNone: the decision kept the current mode with nothing noteworthy
 	// to report (the zero value of the vocabulary).
@@ -434,10 +184,6 @@ const (
 	ReasonCoordinated = rta.ReasonCoordinated
 )
 
-// DefaultPolicyName names the built-in Figure 9 switching policy — the
-// default wherever a policy can be named but is not.
-const DefaultPolicyName = rta.DefaultPolicyName
-
 // RegisterPolicy adds a named switching-policy factory to the registry, so
 // scenarios, jobs and CLIs can select it by spec string ("name" or
 // "name:K"). Built-ins: soter-fig9 (the paper's Figure 9 rules, the
@@ -448,9 +194,6 @@ func RegisterPolicy(name string, f PolicyFactory) error { return rta.RegisterPol
 // ParsePolicy resolves a policy spec against the registry ("" selects the
 // default Figure 9 policy).
 func ParsePolicy(spec string) (Policy, error) { return rta.ParsePolicy(spec) }
-
-// PolicyNames returns the registered policy names, sorted.
-func PolicyNames() []string { return rta.PolicyNames() }
 
 // CanonicalPolicySpec normalizes a policy spec, making the default name and
 // defaulted parameters explicit ("" → "soter-fig9", "sticky-sc" →
@@ -472,9 +215,6 @@ func NewNode(name string, period time.Duration, inputs, outputs []TopicName, ste
 	return node.New(name, period, inputs, outputs, step, opts...)
 }
 
-// WithPhase offsets a node's first firing.
-func WithPhase(p time.Duration) NodeOption { return node.WithPhase(p) }
-
 // WithInit sets a node's initial-local-state constructor.
 func WithInit(f func() State) NodeOption { return node.WithInit(f) }
 
@@ -489,9 +229,6 @@ func NewSystem(modules []*Module, plain []*Node) (*System, error) {
 	return rta.NewSystem(modules, plain)
 }
 
-// Compose forms the union of two RTA systems.
-func Compose(a, b *System) (*System, error) { return rta.Compose(a, b) }
-
 // NewExecutor builds an executor for the system; envTopics declares
 // environment-input topics and their defaults.
 func NewExecutor(sys *System, envTopics []Topic, opts ...ExecutorOption) (*Executor, error) {
@@ -504,17 +241,8 @@ func WithEnvironment(env Environment) ExecutorOption { return runtime.WithEnviro
 // WithInvariantChecking makes the executor assert φInv at every DM step.
 func WithInvariantChecking() ExecutorOption { return runtime.WithInvariantChecking() }
 
-// WithObservers attaches observers to the executor's event stream.
+// WithObservers attaches observers to the executor's event stream: every
+// mode change arrives as a ModeSwitchEvent.
 func WithObservers(observers ...Observer) ExecutorOption {
 	return runtime.WithObservers(observers...)
-}
-
-// WithSwitchHook registers a callback invoked on every DM mode change. It is
-// a shim over WithObservers with an observer interested only in
-// ModeSwitchEvent.
-func WithSwitchHook(fn func(Switch)) ExecutorOption { return runtime.WithSwitchHook(fn) }
-
-// WithDropFilter installs a firing filter modelling best-effort scheduling.
-func WithDropFilter(drop func(ct time.Duration, nodeName string) bool) ExecutorOption {
-	return runtime.WithDropFilter(drop)
 }
