@@ -102,16 +102,21 @@ func (c *Calendar) Names() []string {
 // FiringAt returns the sorted names of nodes whose time-table contains an
 // entry exactly at time t (the FN' = {n | (n, ct') ∈ CS} of rule dt3).
 func (c *Calendar) FiringAt(t time.Duration) []string {
-	return c.AppendFiringAt(t, nil)
+	var out []string
+	for _, i := range c.AppendFiringAt(t, nil) {
+		out = append(out, c.names[i])
+	}
+	return out
 }
 
-// AppendFiringAt appends the sorted names of nodes firing exactly at t to
-// dst and returns it — the allocation-free form of FiringAt for callers that
-// reuse a buffer across instants (the executor's time-progress loop).
-func (c *Calendar) AppendFiringAt(t time.Duration, dst []string) []string {
+// AppendFiringAt appends, in increasing order, the indices into Names() of
+// the nodes firing exactly at t to dst and returns it — the allocation-free
+// form of FiringAt for callers that reuse a buffer across instants and keep
+// their per-node data in Names() order (the executor's slot table).
+func (c *Calendar) AppendFiringAt(t time.Duration, dst []int) []int {
 	for i, s := range c.byName {
 		if s.FiresAt(t) {
-			dst = append(dst, c.names[i])
+			dst = append(dst, i)
 		}
 	}
 	return dst

@@ -3,6 +3,7 @@ package node
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,15 +75,46 @@ func TestNodeAccessors(t *testing.T) {
 }
 
 func TestNodeStepValidatesOutputs(t *testing.T) {
-	n, err := New("n", time.Second, nil, []pubsub.TopicName{"ok"},
-		func(st State, in pubsub.Valuation) (State, pubsub.Valuation, error) {
-			return st, pubsub.Valuation{"rogue": 1}, nil
-		})
-	if err != nil {
-		t.Fatal(err)
+	tests := []struct {
+		name      string
+		out       pubsub.Valuation
+		undeclare pubsub.TopicName // the topic the error must name; "" when Step must pass
+	}{
+		{"undeclared only", pubsub.Valuation{"rogue": 1}, "rogue"},
+		// One declared hit must not hide the undeclared key: a check that
+		// only counted hits, or only compared sizes, would pass this map.
+		{"declared plus undeclared", pubsub.Valuation{"ok": 1, "rogue": 2}, "rogue"},
+		{"all declared", pubsub.Valuation{"ok": 1, "also": 2}, ""},
+		{"subset declared", pubsub.Valuation{"also": 2}, ""},
+		{"nil map", nil, ""},
+		{"empty map", pubsub.Valuation{}, ""},
 	}
-	if _, _, err := n.Step(nil, nil); err == nil {
-		t.Error("expected error for publishing on undeclared output topic")
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			n, err := New("n", time.Second, nil, []pubsub.TopicName{"ok", "also"},
+				func(st State, in pubsub.Valuation) (State, pubsub.Valuation, error) {
+					return st, tt.out, nil
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, out, err := n.Step(nil, nil)
+			if tt.undeclare == "" {
+				if err != nil {
+					t.Fatalf("Step error = %v, want nil", err)
+				}
+				if !reflect.DeepEqual(out, tt.out) {
+					t.Errorf("Step out = %v, want %v", out, tt.out)
+				}
+				return
+			}
+			if err == nil {
+				t.Fatal("expected error for publishing on undeclared output topic")
+			}
+			if want := `undeclared output topic "` + string(tt.undeclare) + `"`; !strings.Contains(err.Error(), want) {
+				t.Errorf("Step error = %v, want it to contain %s", err, want)
+			}
+		})
 	}
 }
 

@@ -219,21 +219,6 @@ func (s *Store) ReadInto(ids []TopicID, dst Valuation) {
 	}
 }
 
-// Write applies the output valuation to the store (Topics' = out ∪ Topics).
-// Undeclared names are rejected before any value is applied.
-func (s *Store) Write(out Valuation) error {
-	for n := range out {
-		if _, ok := s.interner.Lookup(n); !ok {
-			return fmt.Errorf("undeclared topic %q", n)
-		}
-	}
-	for n, v := range out {
-		id, _ := s.interner.Lookup(n)
-		s.values[id] = v
-	}
-	return nil
-}
-
 // Snapshot returns a copy of the full topic valuation.
 func (s *Store) Snapshot() Valuation {
 	out := make(Valuation, len(s.values))

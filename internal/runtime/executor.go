@@ -17,12 +17,20 @@
 // custom ScheduleOrder is installed — the systematic-testing engine in
 // internal/explore uses that hook to enumerate interleavings under bounded
 // asynchrony.
+//
+// New resolves every node once into a dense slot table, one slot per node in
+// the system's sorted node order: the node, its module when it is a decision
+// module, and its input and output topic IDs. The configuration is indexed
+// by slot, so the per-firing path hashes no node name and walks no output
+// map; names are resolved only at the boundary (LocalState, OutputEnabled,
+// Mode, and a custom ScheduleOrder).
 package runtime
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/calendar"
@@ -66,12 +74,17 @@ func (e *InvariantViolationError) Error() string {
 	return fmt.Sprintf("invariant φInv violated at t=%v in module %q (mode %v)", e.Time, e.Module, e.Mode)
 }
 
-// Config holds the executor's mutable configuration (L, OE, ct, FN, Topics).
+// Config holds the executor's mutable configuration (L, OE, ct, FN, Topics),
+// indexed by slot (slot i is the i-th name of the system's NodeNames). L is
+// split by node kind: DM holds the local state of every decision module and
+// Local that of every other node, so a DM firing boxes no state. OE is true
+// for plain nodes; FN lists the slots still to fire at CT, in firing order.
 type Config struct {
-	Local  map[string]node.State
-	OE     map[string]bool
+	Local  []node.State
+	DM     []rta.DMState
+	OE     []bool
 	CT     time.Duration
-	FN     []string
+	FN     []int
 	Topics *pubsub.Store
 }
 
@@ -115,11 +128,33 @@ func WithDropFilter(drop func(ct time.Duration, nodeName string) bool) Option {
 	return func(e *Executor) { e.drop = drop }
 }
 
+// slot is one node resolved for the per-firing path.
+type slot struct {
+	name string
+	node *node.Node
+	// mod is the node's module when the node is its decision module; ac and
+	// sc are then the slots of the module's controllers and partners the DM
+	// slots of the modules coordinated with it (Section VII).
+	mod      *rta.Module
+	ac, sc   int
+	partners []int
+	// inIDs are the subscriptions' dense topic IDs and in the reusable input
+	// valuation: refilling the same map with the same keys every firing
+	// performs no allocation.
+	inIDs []pubsub.TopicID
+	in    pubsub.Valuation
+	// outs are the declared output topics and outIDs their IDs, aligned.
+	outs   []pubsub.TopicName
+	outIDs []pubsub.TopicID
+}
+
 // Executor runs an RTA system.
 type Executor struct {
-	sys *rta.System
 	cal *calendar.Calendar
 	cfg Config
+
+	slots []slot
+	index map[string]int // node name -> slot, for the name-keyed accessors
 
 	env      Environment
 	order    ScheduleOrder
@@ -133,21 +168,11 @@ type Executor struct {
 	observers []obs.Observer
 	byKind    [obs.KindCount][]obs.Observer
 
-	// Per-node input plumbing, precomputed at construction: the store's
-	// dense topic IDs for each node's subscriptions and a reusable input
-	// valuation. Refilling the same map with the same keys every firing
-	// performs no allocation, unlike the Store.Read of a fresh map — on the
-	// per-tick hot path the fleet engine multiplies across thousands of
-	// runs, this is the difference between O(1) and O(inputs) allocations
-	// per node firing.
-	inIDs map[string][]pubsub.TopicID
-	inBuf map[string]pubsub.Valuation
-
-	// Reusable firing-set buffers for the default schedule order. FN is
-	// fully consumed before the next time progress (Step only advances time
-	// when FN is empty), so the backing arrays can be recycled per instant.
-	fnBuf  []string
-	ordBuf []string
+	// Reusable firing-set buffers. FN is fully consumed before the next time
+	// progress (Step only advances time when FN is empty), so the backing
+	// arrays can be recycled per instant.
+	fnBuf  []int
+	ordBuf []int
 
 	steps uint64
 }
@@ -184,32 +209,54 @@ func New(sys *rta.System, envTopics []pubsub.Topic, opts ...Option) (*Executor, 
 		return nil, fmt.Errorf("topic store: %w", err)
 	}
 
+	names := sys.NodeNames()
+	if !slices.Equal(cal.Names(), names) {
+		return nil, fmt.Errorf("calendar order %v differs from node order %v", cal.Names(), names)
+	}
 	e := &Executor{
-		sys: sys,
-		cal: cal,
+		cal:   cal,
+		slots: make([]slot, len(names)),
+		index: make(map[string]int, len(names)),
 		cfg: Config{
-			Local:  make(map[string]node.State),
-			OE:     make(map[string]bool),
+			Local:  make([]node.State, len(names)),
+			DM:     make([]rta.DMState, len(names)),
+			OE:     make([]bool, len(names)),
 			Topics: store,
 		},
 	}
+	for i, name := range names {
+		e.index[name] = i
+	}
 	// Initial configuration: L0 = init states (mode = SC for DMs); OE0
-	// enables every SC and disables every AC; ct0 = 0; FN0 = ∅.
-	e.inIDs = make(map[string][]pubsub.TopicID)
-	e.inBuf = make(map[string]pubsub.Valuation)
-	for _, name := range sys.NodeNames() {
+	// enables every SC and plain node and disables every AC; ct0 = 0;
+	// FN0 = ∅.
+	for i, name := range names {
 		n, _ := sys.Node(name)
-		e.cfg.Local[name] = n.InitState()
-		ids, err := store.IDs(n.Inputs())
-		if err != nil {
+		s := slot{name: name, node: n, outs: n.Outputs()}
+		if s.inIDs, err = store.IDs(n.Inputs()); err != nil {
 			return nil, fmt.Errorf("node %q inputs: %w", name, err)
 		}
-		e.inIDs[name] = ids
-		e.inBuf[name] = make(pubsub.Valuation, len(ids))
+		if s.outIDs, err = store.IDs(s.outs); err != nil {
+			return nil, fmt.Errorf("node %q outputs: %w", name, err)
+		}
+		s.in = make(pubsub.Valuation, len(s.inIDs))
+		if m, isDM := sys.IsDM(name); isDM {
+			s.mod = m
+			s.ac, s.sc = e.index[m.AC().Name()], e.index[m.SC().Name()]
+			for _, p := range sys.CoordinatedWith(m.Name()) {
+				s.partners = append(s.partners, e.index[p.DM().Name()])
+			}
+			e.cfg.DM[i] = m.InitDMState()
+		} else {
+			e.cfg.Local[i] = n.InitState()
+		}
+		e.slots[i] = s
+		e.cfg.OE[i] = true
 	}
-	for dm, ac := range sys.ACNodes() {
-		e.cfg.OE[ac] = false
-		e.cfg.OE[sys.SCNodes()[dm]] = true
+	for _, s := range e.slots {
+		if s.mod != nil {
+			e.cfg.OE[s.ac] = false
+		}
 	}
 	for _, opt := range opts {
 		opt(e)
@@ -226,23 +273,19 @@ func (e *Executor) Topics() *pubsub.Store { return e.cfg.Topics }
 
 // Mode returns the current mode of the named module.
 func (e *Executor) Mode(moduleName string) (rta.Mode, error) {
-	for _, m := range e.sys.Modules() {
-		if m.Name() == moduleName {
-			dm, ok := e.cfg.Local[m.DM().Name()].(rta.DMState)
-			if !ok {
-				return 0, fmt.Errorf("module %q: DM state has type %T", moduleName, e.cfg.Local[m.DM().Name()])
-			}
-			return dm.Mode, nil
+	for i, s := range e.slots {
+		if s.mod != nil && s.mod.Name() == moduleName {
+			return e.cfg.DM[i].Mode, nil
 		}
 	}
 	return 0, fmt.Errorf("unknown module %q", moduleName)
 }
 
 // OutputEnabled reports whether the named controller node's outputs are
-// currently enabled; plain nodes are always enabled.
+// currently enabled; plain nodes (and unknown names) are always enabled.
 func (e *Executor) OutputEnabled(nodeName string) bool {
-	en, tracked := e.cfg.OE[nodeName]
-	return !tracked || en
+	i, ok := e.index[nodeName]
+	return !ok || e.cfg.OE[i]
 }
 
 // Steps returns the number of discrete node firings executed.
@@ -251,8 +294,14 @@ func (e *Executor) Steps() uint64 { return e.steps }
 // LocalState returns the local state of a node (for inspection by tests and
 // the systematic-testing engine).
 func (e *Executor) LocalState(nodeName string) (node.State, bool) {
-	st, ok := e.cfg.Local[nodeName]
-	return st, ok
+	i, ok := e.index[nodeName]
+	switch {
+	case !ok:
+		return nil, false
+	case e.slots[i].mod != nil:
+		return e.cfg.DM[i], true
+	}
+	return e.cfg.Local[i], true
 }
 
 // Step applies one transition of the operational semantics: a time progress
@@ -262,17 +311,16 @@ func (e *Executor) Step() (bool, error) {
 	if len(e.cfg.FN) == 0 {
 		return e.timeProgress()
 	}
-	name := e.cfg.FN[0]
+	i := e.cfg.FN[0]
 	e.cfg.FN = e.cfg.FN[1:]
-	if e.drop != nil && e.drop(e.cfg.CT, name) {
+	if s := &e.slots[i]; e.drop != nil && e.drop(e.cfg.CT, s.name) {
 		// Firing skipped: missed deadline.
 		if list := e.byKind[obs.KindNodeFired]; len(list) > 0 {
-			_, isDM := e.sys.IsDM(name)
-			obs.Emit(list, obs.NodeFired{T: e.cfg.CT, Node: name, DM: isDM, Dropped: true})
+			obs.Emit(list, obs.NodeFired{T: e.cfg.CT, Node: s.name, DM: s.mod != nil, Dropped: true})
 		}
 		return true, nil
 	}
-	if err := e.fire(name); err != nil {
+	if err := e.fire(i); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -339,107 +387,105 @@ func (e *Executor) timeProgress() (bool, error) {
 // orderFiring computes the instant's firing set and arranges it: decision
 // modules first (so OE reflects the freshest mode before controllers
 // publish), then the rest, both alphabetically — unless a custom order is
-// installed. The default path builds into per-executor scratch; the custom
-// path hands the scheduler freshly allocated slices, since the hook may
-// retain them (the systematic-testing engine records schedules).
-func (e *Executor) orderFiring(ct time.Duration) []string {
+// installed. The custom scheduler is handed freshly allocated names, since
+// it may retain them (the systematic-testing engine records schedules).
+func (e *Executor) orderFiring(ct time.Duration) []int {
+	e.fnBuf = e.cal.AppendFiringAt(ct, e.fnBuf[:0])
+	e.ordBuf = e.ordBuf[:0]
 	if e.order != nil {
-		firing := e.cal.FiringAt(ct)
+		firing := make([]string, len(e.fnBuf))
+		for k, i := range e.fnBuf {
+			firing[k] = e.slots[i].name
+		}
 		ordered := e.order(ct, firing)
 		if validPermutation(firing, ordered) {
-			return ordered
+			for _, name := range ordered {
+				e.ordBuf = append(e.ordBuf, e.index[name])
+			}
+			return e.ordBuf
 		}
 		// An invalid permutation from a custom scheduler falls back to the
 		// default order rather than corrupting the run.
-		return defaultOrder(e.sys, firing, nil)
 	}
-	e.fnBuf = e.cal.AppendFiringAt(ct, e.fnBuf[:0])
-	e.ordBuf = defaultOrder(e.sys, e.fnBuf, e.ordBuf[:0])
+	e.ordBuf = e.defaultOrder(e.fnBuf, e.ordBuf)
 	return e.ordBuf
 }
 
-// defaultOrder appends firing to dst with DMs first, preserving the sorted
-// order within each class.
-func defaultOrder(sys *rta.System, firing []string, dst []string) []string {
-	for _, n := range firing {
-		if _, isDM := sys.IsDM(n); isDM {
-			dst = append(dst, n)
+// defaultOrder appends the firing slots to dst with DMs first, preserving
+// the sorted order within each class.
+func (e *Executor) defaultOrder(firing, dst []int) []int {
+	for _, i := range firing {
+		if e.slots[i].mod != nil {
+			dst = append(dst, i)
 		}
 	}
-	for _, n := range firing {
-		if _, isDM := sys.IsDM(n); !isDM {
-			dst = append(dst, n)
+	for _, i := range firing {
+		if e.slots[i].mod == nil {
+			dst = append(dst, i)
 		}
 	}
 	return dst
 }
 
-// fire executes DM-STEP or AC-OR-SC-STEP for the named node.
-func (e *Executor) fire(name string) error {
-	n, ok := e.sys.Node(name)
-	if !ok {
-		return fmt.Errorf("firing unknown node %q", name)
-	}
+// fire executes DM-STEP or AC-OR-SC-STEP for the node in slot i.
+func (e *Executor) fire(i int) error {
+	s := &e.slots[i]
 	e.steps++
-	m, isDM := e.sys.IsDM(name)
 	if list := e.byKind[obs.KindNodeFired]; len(list) > 0 {
-		obs.Emit(list, obs.NodeFired{T: e.cfg.CT, Node: name, DM: isDM})
+		obs.Emit(list, obs.NodeFired{T: e.cfg.CT, Node: s.name, DM: s.mod != nil})
 	}
 	// The input valuation is a per-node reusable buffer filled through the
 	// store's dense topic IDs; it is only valid for the duration of the
 	// firing (nodes must not retain it, per the StepFunc contract).
-	in := e.inBuf[name]
-	e.cfg.Topics.ReadInto(e.inIDs[name], in)
+	e.cfg.Topics.ReadInto(s.inIDs, s.in)
 
-	if isDM {
-		return e.fireDM(m, n, in)
+	if s.mod != nil {
+		return e.fireDM(i)
 	}
 
 	// AC-OR-SC-STEP: the node steps; outputs are written only when enabled.
-	next, out, err := n.Step(e.cfg.Local[name], in)
+	// Step has checked that out names declared outputs only, so looking up
+	// each declared output writes all of out.
+	next, out, err := s.node.Step(e.cfg.Local[i], s.in)
 	if err != nil {
 		return err
 	}
-	e.cfg.Local[name] = next
-	if e.OutputEnabled(name) {
-		if err := e.cfg.Topics.Write(out); err != nil {
-			return fmt.Errorf("node %q outputs: %w", name, err)
+	e.cfg.Local[i] = next
+	if e.cfg.OE[i] {
+		for k, topic := range s.outs {
+			if v, ok := out[topic]; ok {
+				e.cfg.Topics.SetID(s.outIDs[k], v)
+			}
 		}
 	}
 	return nil
 }
 
-// fireDM executes DM-STEP: update the DM state from the switching policy and
-// flip the output-enable entries of the controlled AC and SC (dm1, dm2).
-func (e *Executor) fireDM(m *rta.Module, dmNode *node.Node, in pubsub.Valuation) error {
-	prev, ok := e.cfg.Local[dmNode.Name()].(rta.DMState)
-	if !ok {
-		return fmt.Errorf("DM %q: local state has type %T, want rta.DMState", dmNode.Name(), e.cfg.Local[dmNode.Name()])
-	}
-	next, _, err := dmNode.Step(prev, in)
-	if err != nil {
-		return err
-	}
-	dm, ok := next.(rta.DMState)
-	if !ok {
-		return fmt.Errorf("DM %q: step returned state of type %T, want rta.DMState", dmNode.Name(), next)
-	}
-	e.cfg.Local[dmNode.Name()] = dm
+// fireDM executes DM-STEP for the decision module in slot i: update the DM
+// state from the switching policy and flip the output-enable entries of the
+// controlled AC and SC (dm1, dm2). The executor applies the module's
+// decision (DecideState, which the generated DM node's step function wraps)
+// directly, so the typed DM state is never boxed.
+func (e *Executor) fireDM(i int) error {
+	s, m := &e.slots[i], e.slots[i].mod
+	prev := e.cfg.DM[i]
+	dm := m.DecideState(prev, s.in)
+	e.cfg.DM[i] = dm
 	mode := dm.Mode
 	enAC := mode == rta.ModeAC
-	e.cfg.OE[m.AC().Name()] = enAC
-	e.cfg.OE[m.SC().Name()] = !enAC
+	e.cfg.OE[s.ac] = enAC
+	e.cfg.OE[s.sc] = !enAC
 
 	if mode != prev.Mode {
 		e.recordSwitch(obs.ModeSwitch{T: e.cfg.CT, Module: m.Name(), From: prev.Mode, To: mode, Reason: dm.Reason})
 		// Coordinated switching (Section VII): a disengagement demotes the
 		// coordinated partner modules to SC immediately.
 		if mode == rta.ModeSC {
-			e.forceCoordinated(m)
+			e.forceCoordinated(s)
 		}
 	}
 	if e.checkInv {
-		if !m.SafeHolds(in) || !m.InvariantHolds(mode, in) {
+		if !m.SafeHolds(s.in) || !m.InvariantHolds(mode, s.in) {
 			if list := e.byKind[obs.KindInvariantViolation]; len(list) > 0 {
 				obs.Emit(list, obs.InvariantViolation{T: e.cfg.CT, Module: m.Name(), Mode: mode})
 			}
@@ -457,24 +503,24 @@ func (e *Executor) recordSwitch(sw obs.ModeSwitch) {
 	}
 }
 
-// forceCoordinated demotes every module coordinated with the trigger to SC
-// mode, updating their DM state and output enables and emitting the forced
-// switches. The partner's policy state is preserved — its next own decision
-// sees Mode = SC and (by the policy contract) treats the demotion like any
-// other entry into SC mode.
-func (e *Executor) forceCoordinated(trigger *rta.Module) {
-	for _, partner := range e.sys.CoordinatedWith(trigger.Name()) {
-		dmName := partner.DM().Name()
-		prev, ok := e.cfg.Local[dmName].(rta.DMState)
-		if !ok || prev.Mode == rta.ModeSC {
+// forceCoordinated demotes every module coordinated with the trigger DM
+// slot to SC mode, updating their DM state and output enables and emitting
+// the forced switches. The partner's policy state is preserved — its next
+// own decision sees Mode = SC and (by the policy contract) treats the
+// demotion like any other entry into SC mode.
+func (e *Executor) forceCoordinated(trigger *slot) {
+	for _, p := range trigger.partners {
+		prev := e.cfg.DM[p]
+		if prev.Mode == rta.ModeSC {
 			continue
 		}
-		e.cfg.Local[dmName] = rta.DMState{Mode: rta.ModeSC, Reason: rta.ReasonCoordinated, Policy: prev.Policy}
-		e.cfg.OE[partner.AC().Name()] = false
-		e.cfg.OE[partner.SC().Name()] = true
+		partner := &e.slots[p]
+		e.cfg.DM[p] = rta.DMState{Mode: rta.ModeSC, Reason: rta.ReasonCoordinated, Policy: prev.Policy}
+		e.cfg.OE[partner.ac] = false
+		e.cfg.OE[partner.sc] = true
 		e.recordSwitch(obs.ModeSwitch{
 			T:           e.cfg.CT,
-			Module:      partner.Name(),
+			Module:      partner.mod.Name(),
 			From:        prev.Mode,
 			To:          rta.ModeSC,
 			Reason:      rta.ReasonCoordinated,

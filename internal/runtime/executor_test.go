@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -579,5 +580,131 @@ func TestInvariantViolationEvent(t *testing.T) {
 	}
 	if events[0].T != iv.Time || events[0].Module != iv.Module || events[0].Mode != iv.Mode {
 		t.Errorf("event %+v diverges from error %+v", events[0], iv)
+	}
+}
+
+// A node publishing on a topic it did not declare fails the firing, and none
+// of its outputs reach the store — not even the declared one, and not the
+// undeclared one although the store knows that topic.
+func TestUndeclaredOutputRejected(t *testing.T) {
+	rogue, err := node.New("rogue", 10*time.Millisecond, nil, []pubsub.TopicName{"ok"},
+		func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+			return st, pubsub.Valuation{"ok": 99, "zzz": 1}, nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := rta.NewSystem(nil, []*node.Node{rogue})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := New(sys, []pubsub.Topic{{Name: "ok", Default: 0}, {Name: "zzz", Default: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; ; step++ {
+		if step == 10 {
+			t.Fatal("the rogue firing never failed")
+		}
+		if _, err = exec.Step(); err != nil {
+			break
+		}
+	}
+	if !strings.Contains(err.Error(), `undeclared output topic "zzz"`) {
+		t.Errorf("error = %v, want it to name topic zzz", err)
+	}
+	if snap := exec.Topics().Snapshot(); !reflect.DeepEqual(snap, pubsub.Valuation{"ok": 0, "zzz": 0}) {
+		t.Errorf("partial write applied: topics = %v", snap)
+	}
+}
+
+// hotPathExec builds a module plus a plain node whose step functions return
+// preallocated outputs and their input state. Its environment flips the
+// "danger" topic every 250 ms, so the module keeps switching between AC and
+// SC.
+func hotPathExec(tb testing.TB) *Executor {
+	tb.Helper()
+	const period = 10 * time.Millisecond
+	ctrl := func(name string, out pubsub.Valuation) *node.Node {
+		return node.MustNew(name, period, []pubsub.TopicName{"danger"}, []pubsub.TopicName{"cmd"},
+			func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+				return st, out, nil
+			})
+	}
+	danger := func(v pubsub.Valuation) bool { b, _ := v["danger"].(bool); return b }
+	m, err := rta.NewModule(rta.Decl{
+		Name:      "hp",
+		AC:        ctrl("hp.ac", pubsub.Valuation{"cmd": "ac"}),
+		SC:        ctrl("hp.sc", pubsub.Valuation{"cmd": "sc"}),
+		Delta:     5 * period,
+		TTF2Delta: danger,
+		InSafer:   func(v pubsub.Valuation) bool { return !danger(v) },
+		Safe:      func(pubsub.Valuation) bool { return true },
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	logOut := pubsub.Valuation{"log": 1}
+	plain := node.MustNew("log", period, []pubsub.TopicName{"cmd"}, []pubsub.TopicName{"log"},
+		func(st node.State, _ pubsub.Valuation) (node.State, pubsub.Valuation, error) {
+			return st, logOut, nil
+		}, node.WithInit(func() node.State { return "state" }))
+	sys, err := rta.NewSystem([]*rta.Module{m}, []*node.Node{plain})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	env := EnvironmentFunc(func(_, now time.Duration, topics *pubsub.Store) error {
+		return topics.Set("danger", now%(500*time.Millisecond) >= 250*time.Millisecond)
+	})
+	exec, err := New(sys, []pubsub.Topic{{Name: "danger", Default: false}}, WithEnvironment(env))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return exec
+}
+
+// With no observers attached, a steady-state Step — time progress, DM
+// firing with mode switches, and controller and plain firings — allocates
+// nothing. The steps are measured as one batch so that even one allocation
+// in a thousand steps fails the test (AllocsPerRun rounds the per-run
+// average down).
+func TestExecutorSteadyStateAllocs(t *testing.T) {
+	exec := hotPathExec(t)
+	const steps = 1000
+	run := func() {
+		for i := 0; i < steps; i++ {
+			if _, err := exec.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run() // fill the reusable buffers
+	if allocs := testing.AllocsPerRun(5, run); allocs != 0 {
+		t.Errorf("%d steps allocate %.0f objects, want 0", steps, allocs)
+	}
+	// The measured path included both modes and published outputs.
+	seen := map[rta.Mode]bool{}
+	for i := 0; i < steps; i++ {
+		if _, err := exec.Step(); err != nil {
+			t.Fatal(err)
+		}
+		mode, _ := exec.Mode("hp")
+		seen[mode] = true
+	}
+	if !seen[rta.ModeAC] || !seen[rta.ModeSC] {
+		t.Errorf("modes seen = %v, want both AC and SC", seen)
+	}
+	if v, _ := exec.Topics().Get("log"); v != 1 {
+		t.Errorf("log = %v, want 1", v)
+	}
+}
+
+func BenchmarkExecutorStep(b *testing.B) {
+	exec := hotPathExec(b)
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := exec.Step(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

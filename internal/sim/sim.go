@@ -240,6 +240,10 @@ type runner struct {
 	trajEvery   time.Duration
 	trajLast    time.Duration
 	batLast     time.Duration
+
+	// droppable is the set of nodes the jitter model may drop — the DM and
+	// SC nodes when JitterSCOnly is set, nil (every node) otherwise.
+	droppable map[string]bool
 }
 
 // emit delivers a closed-loop event to the observers interested in its kind.
@@ -374,6 +378,13 @@ func Run(cfg RunConfig) (*Result, error) {
 		opts = append(opts, runtime.WithInvariantChecking())
 	}
 	if cfg.JitterProb > 0 {
+		if cfg.JitterSCOnly {
+			r.droppable = make(map[string]bool)
+			for _, m := range cfg.Stack.System.Modules() {
+				r.droppable[m.DM().Name()] = true
+				r.droppable[m.SC().Name()] = true
+			}
+		}
 		opts = append(opts, runtime.WithDropFilter(r.dropFilter))
 	}
 	exec, err := runtime.New(
@@ -489,12 +500,8 @@ func visitsSoFar(exec *runtime.Executor, st *mission.Stack) int {
 // after a disengagement reproduces the paper's crash mode. Dropped firings
 // surface as obs.NodeFired{Dropped: true} events from the executor.
 func (r *runner) dropFilter(ct time.Duration, name string) bool {
-	if r.cfg.JitterSCOnly {
-		if _, isDM := r.cfg.Stack.System.IsDM(name); !isDM {
-			if _, isAC, ok := r.cfg.Stack.System.ControllerOf(name); !ok || isAC {
-				return false
-			}
-		}
+	if r.droppable != nil && !r.droppable[name] {
+		return false
 	}
 	if until, out := r.outageUntil[name]; out && ct < until {
 		return true
