@@ -13,6 +13,17 @@
 // The second form replays a counterexample corpus and verifies every
 // non-retired entry still falsifies — the regression direction of the same
 // tool, suitable for CI.
+//
+// -strategy schedule is the SOTER tool chain's systematic tester: it
+// enumerates bounded-asynchrony interleavings of the base scenario's node
+// firings (a DFS over per-round permutations) and checks φInv plus the
+// no-crash property on each; schedule:N samples N random interleavings
+// instead. -budget bounds the schedules run and -duration is each schedule's
+// horizon. Every extra RTA module widens the per-round branching, so a
+// scenario without the planner and battery modules (corner-hazard-tour)
+// keeps the schedule tree narrow:
+//
+//	soter-falsify -scenario corner-hazard-tour -strategy schedule -budget 64 -duration 3s
 package main
 
 import (

@@ -98,39 +98,27 @@ func run() error {
 		spec.Duration = *duration
 	}
 	if set["protection"] {
-		switch *protection {
-		case "rta":
-			spec.Protection = mission.ProtectRTA
-		case "ac-only":
-			spec.Protection = mission.ProtectACOnly
-		case "sc-only":
-			spec.Protection = mission.ProtectSCOnly
-		default:
+		p, ok := mission.ParseProtection(*protection)
+		if !ok {
 			return fmt.Errorf("unknown -protection %q", *protection)
 		}
+		spec.Protection = p
 	}
 	if set["ac"] {
-		switch *acKind {
-		case "aggressive":
-			spec.AC = mission.ACAggressive
-		case "learned":
-			spec.AC = mission.ACLearned
-		default:
+		k, ok := mission.ParseACKind(*acKind)
+		if !ok {
 			return fmt.Errorf("unknown -ac %q", *acKind)
 		}
+		spec.AC = k
 	}
 	if set["planner-bug"] {
-		switch *plannerBug {
-		case "none":
-			spec.PlannerBug, spec.PlannerBugRate = plan.BugNone, 0
-		case "skip-edge-check":
-			spec.PlannerBug = plan.BugSkipEdgeCheck
-		case "unchecked-shortcut":
-			spec.PlannerBug = plan.BugUncheckedShortcut
-		case "stale-obstacles":
-			spec.PlannerBug = plan.BugStaleObstacles
-		default:
+		b, ok := plan.ParseBug(*plannerBug)
+		if !ok {
 			return fmt.Errorf("unknown -planner-bug %q", *plannerBug)
+		}
+		spec.PlannerBug = b
+		if b == plan.BugNone {
+			spec.PlannerBugRate = 0
 		}
 	}
 	if set["faults"] {
@@ -224,7 +212,7 @@ func run() error {
 		return err
 	}
 	fmt.Printf("SOTER simulator — scenario=%s protection=%s ac=%s Δ=%v policy=%s planner-bug=%v jitter=%.4f\n",
-		spec.Name, rcfg.Stack.Config.Protection, acName(rcfg.Stack.Config.AC),
+		spec.Name, rcfg.Stack.Config.Protection, rcfg.Stack.Config.AC,
 		rcfg.Stack.Config.MotionDelta, policyName, spec.PlannerBug, spec.JitterProb)
 
 	res, err := sim.Run(rcfg)
@@ -253,13 +241,6 @@ func run() error {
 		return fmt.Errorf("CRASH at t=%v pos=%v", res.Metrics.CrashTime, res.Metrics.CrashPos)
 	}
 	return nil
-}
-
-func acName(k mission.ACKind) string {
-	if k == mission.ACLearned {
-		return "learned"
-	}
-	return "aggressive"
 }
 
 func printCatalog() {

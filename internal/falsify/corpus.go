@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 
-	"repro/internal/explore"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 )
@@ -131,7 +130,7 @@ func (c Counterexample) Rebuild() (scenario.Spec, error) {
 // workspace) must surface as "regenerate or retire this entry", never as a
 // silently different run. Parameter-space counterexamples replay through the
 // closed-loop simulator; schedule counterexamples replay their exact
-// interleaving through the explore backend.
+// interleaving through the schedule explorer.
 func (c Counterexample) Replay(ctx context.Context) (Verdict, error) {
 	spec, err := c.Rebuild()
 	if err != nil {
@@ -168,18 +167,15 @@ func (c Counterexample) Replay(ctx context.Context) (Verdict, error) {
 
 // replaySchedule re-executes the recorded interleaving.
 func (c Counterexample) replaySchedule(spec scenario.Spec) (Verdict, error) {
-	v, err := explore.ReplaySchedule(explore.Config{
-		Build:   ScheduleInstanceBuilder(spec, c.Candidate.Seed),
-		Horizon: spec.Duration,
-	}, c.Schedule)
+	x, err := newExplorer(scenarioInstance(spec, c.Candidate.Seed), spec.Duration)
 	if err != nil {
 		return Verdict{}, err
 	}
-	if v == nil {
-		return Verdict{}, nil
+	v, err := x.replay(c.Schedule)
+	if err != nil || v == nil {
+		return Verdict{}, err
 	}
-	rep := convertExploreReport(&explore.Report{Violations: []explore.Violation{*v}})
-	return rep.Violations[0].Verdict, nil
+	return v.Verdict, nil
 }
 
 // StillFalsifies reports whether a replayed verdict still qualifies under

@@ -7,12 +7,11 @@
 //
 // The search space is the Params delta over scenario.Override knobs —
 // fault/planner-bug/jitter profiles, Δ/hysteresis, workspace family,
-// switching policy — filtered for validity through Spec.Validate. Strategies
-// live behind a named registry mirroring rta.Policy's: "random" (seeded
-// uniform sampling), "guided" (hill-climb on the Oracle's severity
-// objective), "schedule" (the internal/explore bounded-asynchrony
-// interleaving enumeration wrapped as one strategy, so the seed engine
-// survives as a backend rather than an island).
+// switching policy — filtered for validity through Spec.Validate. The
+// strategies are a fixed set: "random" (seeded uniform sampling), "guided"
+// (hill-climb on the Oracle's severity objective) and "schedule" (the
+// bounded-asynchrony interleaving enumeration of the SOTER tool chain's
+// systematic tester, searching node-firing orders rather than parameters).
 //
 // Campaigns are deterministic: given (strategy, seed, budget) the ranked
 // counterexample list is byte-identical at any worker count, because
@@ -121,7 +120,7 @@ type Outcome struct {
 // replay: base scenario name + Params delta + seed rebuild the exact Spec,
 // and Fingerprint pins its canonical identity (drift in the spec semantics
 // is detected, not silently replayed). Schedule counterexamples additionally
-// carry the explore choice vector.
+// carry the interleaving's choice vector.
 type Counterexample struct {
 	// Scenario is the base scenario searched around.
 	Scenario string `json:"scenario"`
@@ -136,7 +135,7 @@ type Counterexample struct {
 	Fingerprint string `json:"fingerprint"`
 	// Name is the auto-registered regression scenario name
 	// ("falsified/<hash>"); empty for schedule counterexamples, which replay
-	// through the explore backend rather than the scenario registry.
+	// through the schedule explorer rather than the scenario registry.
 	Name string `json:"name,omitempty"`
 	// Category classifies the violation: crash | invariant | clamp-storm.
 	Category string `json:"category"`
@@ -144,7 +143,7 @@ type Counterexample struct {
 	Severity float64 `json:"severity"`
 	// Verdict is the full oracle verdict the counterexample was filed with.
 	Verdict Verdict `json:"verdict"`
-	// Schedule is the explore choice vector (schedule strategy only); it
+	// Schedule is the interleaving choice vector (schedule strategy only); it
 	// replays the exact interleaving. ScheduleSeed records the random
 	// interleaving seed it was sampled from (provenance only).
 	Schedule     []int `json:"schedule,omitempty"`
@@ -495,7 +494,7 @@ func (e *Engine) registerScenario(ce Counterexample) {
 	_ = scenario.Register(spec)
 }
 
-// ReportSchedules folds an explore report into the campaign — the accounting
+// ReportSchedules folds a schedule report into the campaign — the accounting
 // entry point of the schedule strategy. Each explored schedule costs one
 // budget unit; violations become schedule counterexamples keyed by the
 // (spec, choice-vector) hash.

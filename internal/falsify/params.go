@@ -112,18 +112,15 @@ func (p Params) Apply(base scenario.Spec) (scenario.Spec, error) {
 			Dir:   dir,
 		}
 	}
-	switch p.PlannerBug {
-	case "":
-	case "none":
-		s.PlannerBug, s.PlannerBugRate = plan.BugNone, 0
-	case "skip-edge-check":
-		s.PlannerBug = plan.BugSkipEdgeCheck
-	case "unchecked-shortcut":
-		s.PlannerBug = plan.BugUncheckedShortcut
-	case "stale-obstacles":
-		s.PlannerBug = plan.BugStaleObstacles
-	default:
-		return scenario.Spec{}, fmt.Errorf("falsify: unknown planner bug %q", p.PlannerBug)
+	if p.PlannerBug != "" {
+		b, ok := plan.ParseBug(p.PlannerBug)
+		if !ok {
+			return scenario.Spec{}, fmt.Errorf("falsify: unknown planner bug %q", p.PlannerBug)
+		}
+		s.PlannerBug = b
+		if b == plan.BugNone {
+			s.PlannerBugRate = 0
+		}
 	}
 	if p.PlannerBugRate != nil {
 		s.PlannerBugRate = *p.PlannerBugRate

@@ -6,25 +6,36 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/explore"
 	"repro/internal/geom"
 	"repro/internal/mission"
 	"repro/internal/plant"
 	"repro/internal/pubsub"
+	"repro/internal/rta"
 	"repro/internal/runtime"
 	"repro/internal/scenario"
 )
 
-// The schedule strategy wraps internal/explore — the seed codebase's
-// bounded-asynchrony systematic-testing engine — as one falsification
-// strategy: instead of mutating scenario parameters it enumerates (or, with
-// a parameter, randomly samples) node-firing interleavings of the *base*
-// configuration, hunting for schedules under which φInv fails or the drone
-// crashes. Each explored schedule costs one budget unit; counterexamples
-// carry the choice vector that replays the exact interleaving.
+// The schedule strategy is the systematic-testing backend of the SOTER tool
+// chain (Section V, "SOTER tool chain"): instead of mutating scenario
+// parameters it enumerates (or, with a parameter, randomly samples)
+// node-firing interleavings of the *base* configuration, hunting for
+// schedules under which φInv fails or the drone crashes. Each explored
+// schedule costs one budget unit; counterexamples carry the choice vector
+// that replays the exact interleaving.
+//
+// Since a SOTER program is a multi-rate periodic system, only schedules
+// satisfying bounded-asynchrony semantics are explored: time advances in
+// rounds, and within a round every node fires exactly once, in any order —
+// the scheduler enumerates (or samples) the per-round permutations.
+//
+// Executions are replay-based: systems carry arbitrary local state and
+// plant environments, so instead of snapshotting configurations the engine
+// re-runs a fresh system instance per schedule, driving choice points from a
+// choice vector. Exhaustive mode enumerates choice vectors in lexicographic
+// order (a stateless DFS); random mode samples one schedule per seed.
 
-// ScheduleReport is the engine-facing account of an explore run: schedule
-// count plus violations already classified into verdicts.
+// ScheduleReport is the engine-facing account of a schedule exploration:
+// schedule count plus violations already classified into verdicts.
 type ScheduleReport struct {
 	// Schedules is the number of interleavings executed.
 	Schedules int
@@ -38,7 +49,7 @@ type ScheduleReport struct {
 // ScheduleViolation is one falsifying interleaving.
 type ScheduleViolation struct {
 	// Choices is the full choice vector; replaying it reproduces the
-	// schedule exactly (explore.ReplaySchedule).
+	// schedule exactly.
 	Choices []int
 	// Seed is the random-interleaving seed it was sampled from (provenance;
 	// zero in exhaustive mode).
@@ -47,8 +58,8 @@ type ScheduleViolation struct {
 	Verdict Verdict
 }
 
-// scheduleStrategy is registered as "schedule" (exhaustive bounded-asynchrony
-// DFS) / "schedule:N" (N random interleaving seeds).
+// scheduleStrategy is "schedule" (exhaustive bounded-asynchrony DFS) or
+// "schedule:N" (N random interleaving seeds).
 type scheduleStrategy struct{ seeds int }
 
 func (s scheduleStrategy) Name() string {
@@ -60,55 +71,287 @@ func (s scheduleStrategy) Name() string {
 
 func (s scheduleStrategy) Search(ctx context.Context, e *Engine) error {
 	spec := e.Base()
-	ecfg := explore.Config{
-		Build:        ScheduleInstanceBuilder(spec, e.CampaignSeed()),
-		Horizon:      spec.Duration,
-		MaxSchedules: e.Remaining(),
+	x, err := newExplorer(scenarioInstance(spec, e.CampaignSeed()), spec.Duration)
+	if err != nil {
+		return err
 	}
-	for i := 0; i < s.seeds; i++ {
-		ecfg.Seeds = append(ecfg.Seeds, e.CampaignSeed()+int64(i))
+	var rep *ScheduleReport
+	if s.seeds > 0 {
+		rep, err = x.random(ctx, e.CampaignSeed(), min(s.seeds, e.Remaining()))
+	} else {
+		rep, err = x.exhaustive(ctx, e.Remaining())
 	}
-	rep, err := explore.Run(ctx, ecfg)
 	if rep != nil {
-		e.ReportSchedules(convertExploreReport(rep))
+		e.ReportSchedules(rep)
 	}
 	// Exhaustive mode may visit the whole bounded tree below budget; that
 	// ends the search (there is nothing left to explore), not an error.
 	return err
 }
 
-// convertExploreReport classifies explore violations into verdicts: an
-// executor φInv abort files as an invariant violation, anything else is the
-// crash property tripping.
-func convertExploreReport(rep *explore.Report) *ScheduleReport {
-	out := &ScheduleReport{Schedules: rep.Schedules, Exhausted: rep.Exhausted}
-	for _, v := range rep.Violations {
-		var verdict Verdict
-		var iv *runtime.InvariantViolationError
-		if errors.As(v.Err, &iv) {
-			verdict.InvariantViolations = 1
-		} else {
-			verdict.Crashed = true
-			verdict.Collisions = 1
-			verdict.CrashTime = int64(v.Time)
+// scheduleInstance is a freshly built system under test: the explorer needs
+// a new one per execution because node-local and environment state is not
+// resettable.
+type scheduleInstance struct {
+	system *rta.System
+	// env is the optional environment hook (plant in the loop).
+	env runtime.Environment
+	// envTopics declares environment-input topics with defaults.
+	envTopics []pubsub.Topic
+	// property is an optional safety property checked after every discrete
+	// step; returning an error marks a violation. The executor's built-in
+	// φInv monitor runs in addition.
+	property func(exec *runtime.Executor) error
+}
+
+// instanceBuilder constructs a fresh instance; it is called once per
+// schedule. scenarioInstance is the production builder; tests substitute
+// hand-built systems.
+type instanceBuilder func() (*scheduleInstance, error)
+
+// maxPermutation caps the branching at a choice point: with k nodes firing
+// at an instant there are k! interleavings; only the first maxPermutation
+// are explored.
+const maxPermutation = 720
+
+// explorer runs schedules of one system up to a horizon. newExplorer is the
+// single place the builder and horizon are validated, for search and replay
+// alike.
+type explorer struct {
+	build   instanceBuilder
+	horizon time.Duration
+}
+
+func newExplorer(build instanceBuilder, horizon time.Duration) (explorer, error) {
+	if build == nil {
+		return explorer{}, errors.New("falsify: schedule: nil builder")
+	}
+	if horizon <= 0 {
+		return explorer{}, errors.New("falsify: schedule: non-positive horizon")
+	}
+	return explorer{build: build, horizon: horizon}, nil
+}
+
+// exhaustive enumerates choice vectors in lexicographic order, at most
+// maxSchedules of them. Cancelling the context stops the search at the next
+// schedule boundary: the partial report accumulated so far is returned
+// together with the context's error, so an interrupted hunt keeps the
+// counterexamples it already found.
+func (x explorer) exhaustive(ctx context.Context, maxSchedules int) (*ScheduleReport, error) {
+	rep := &ScheduleReport{}
+	prefix := []int{}
+	for rep.Schedules < maxSchedules {
+		if err := ctx.Err(); err != nil {
+			return rep, err
 		}
-		out.Violations = append(out.Violations, ScheduleViolation{
-			Choices: v.Choices,
-			Seed:    v.Seed,
-			Verdict: verdict,
-		})
+		tr, err := x.execute(prefix, nil)
+		if err != nil {
+			return nil, err
+		}
+		rep.Schedules++
+		if tr.violation != nil {
+			rep.Violations = append(rep.Violations, *tr.violation)
+		}
+		// Lexicographic increment of the full choice vector.
+		next := nextVector(tr.chosen, tr.branching)
+		if next == nil {
+			rep.Exhausted = true
+			return rep, nil
+		}
+		prefix = next
+	}
+	return rep, nil
+}
+
+// random samples one schedule per seed, seeds firstSeed, firstSeed+1, ...
+// for n seeds. Cancellation behaves as in exhaustive.
+func (x explorer) random(ctx context.Context, firstSeed int64, n int) (*ScheduleReport, error) {
+	rep := &ScheduleReport{}
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return rep, err
+		}
+		seed := firstSeed + int64(i)
+		tr, err := x.execute(nil, newSplitMix(seed))
+		if err != nil {
+			return nil, err
+		}
+		rep.Schedules++
+		if tr.violation != nil {
+			v := *tr.violation
+			v.Seed = seed
+			rep.Violations = append(rep.Violations, v)
+		}
+	}
+	return rep, nil
+}
+
+// replay re-executes one recorded schedule: the choice vector drives every
+// choice point (points beyond its end, if any, pick index 0) and the
+// violation it reproduces is returned — nil when the schedule completes
+// cleanly, which callers should treat as "the counterexample no longer
+// reproduces".
+func (x explorer) replay(choices []int) (*ScheduleViolation, error) {
+	tr, err := x.execute(choices, nil)
+	if err != nil {
+		return nil, err
+	}
+	return tr.violation, nil
+}
+
+// nextVector returns the lexicographically next choice vector, or nil when
+// the tree is exhausted.
+func nextVector(chosen, branching []int) []int {
+	i := len(chosen) - 1
+	for i >= 0 && chosen[i]+1 >= branching[i] {
+		i--
+	}
+	if i < 0 {
+		return nil
+	}
+	next := make([]int, i+1)
+	copy(next, chosen[:i+1])
+	next[i]++
+	return next
+}
+
+type trace struct {
+	chosen    []int
+	branching []int
+	violation *ScheduleViolation
+}
+
+// execute runs one schedule: choice points beyond the prefix pick index 0
+// (exhaustive) or a random index (random mode, rng non-nil).
+func (x explorer) execute(prefix []int, rng *splitMix) (*trace, error) {
+	inst, err := x.build()
+	if err != nil {
+		return nil, fmt.Errorf("falsify: schedule: build: %w", err)
+	}
+	tr := &trace{}
+
+	order := func(_ time.Duration, firing []string) []string {
+		b := branchingOf(len(firing), maxPermutation)
+		var choice int
+		switch {
+		case len(tr.chosen) < len(prefix):
+			choice = prefix[len(tr.chosen)]
+			if choice >= b {
+				choice = b - 1
+			}
+		case rng != nil:
+			choice = int(rng.next() % uint64(b))
+		default:
+			choice = 0
+		}
+		tr.chosen = append(tr.chosen, choice)
+		tr.branching = append(tr.branching, b)
+		return permute(firing, choice)
+	}
+
+	opts := []runtime.Option{
+		runtime.WithScheduleOrder(order),
+		runtime.WithInvariantChecking(),
+	}
+	if inst.env != nil {
+		opts = append(opts, runtime.WithEnvironment(inst.env))
+	}
+	exec, err := runtime.New(inst.system, inst.envTopics, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("falsify: schedule: executor: %w", err)
+	}
+
+	for exec.Now() <= x.horizon {
+		progressed, err := exec.Step()
+		if err == nil && progressed && inst.property != nil {
+			err = inst.property(exec)
+		}
+		if err != nil {
+			tr.violation = &ScheduleViolation{
+				Choices: append([]int(nil), tr.chosen...),
+				Verdict: classify(err, exec.Now()),
+			}
+			return tr, nil
+		}
+		if !progressed || exec.Now() > x.horizon {
+			break
+		}
+	}
+	return tr, nil
+}
+
+// classify files a failed schedule: an executor φInv abort is an invariant
+// violation, anything else is the crash property tripping at time t.
+func classify(err error, t time.Duration) Verdict {
+	var iv *runtime.InvariantViolationError
+	if errors.As(err, &iv) {
+		return Verdict{InvariantViolations: 1}
+	}
+	return Verdict{Crashed: true, Collisions: 1, CrashTime: int64(t)}
+}
+
+// branchingOf returns min(k!, cap) without overflow.
+func branchingOf(k, permCap int) int {
+	f := 1
+	for i := 2; i <= k; i++ {
+		f *= i
+		if f >= permCap {
+			return permCap
+		}
+	}
+	return f
+}
+
+// permute returns the idx-th permutation (factorial number system) of the
+// slice, leaving the input unmodified.
+func permute(s []string, idx int) []string {
+	out := make([]string, 0, len(s))
+	rem := append([]string(nil), s...)
+	for n := len(rem); n > 0; n-- {
+		f := factorial(n - 1)
+		i := 0
+		if f > 0 {
+			i = (idx / f) % n
+		}
+		out = append(out, rem[i])
+		rem = append(rem[:i], rem[i+1:]...)
 	}
 	return out
 }
 
-// ScheduleInstanceBuilder compiles a scenario Spec into the explore backend's
+func factorial(n int) int {
+	f := 1
+	for i := 2; i <= n; i++ {
+		f *= i
+		if f > 1<<30 {
+			return 1 << 30
+		}
+	}
+	return f
+}
+
+// splitMix is a tiny deterministic PRNG for schedule sampling.
+type splitMix struct{ s uint64 }
+
+func newSplitMix(seed int64) *splitMix {
+	return &splitMix{s: uint64(seed)*2685821657736338717 + 1}
+}
+
+func (r *splitMix) next() uint64 {
+	r.s += 0x9e3779b97f4a7c15
+	z := r.s
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+// scenarioInstance compiles a scenario Spec into the explorer's
 // per-schedule instance factory: a fresh mission stack, a plant-in-the-loop
 // environment and the no-crash property. This is what lets the systematic
-// tester run *any* registered scenario, where the seed engine drove one
-// hand-built system. Exposed for replay (corpus entries with a Schedule) and
-// for cmd/soter-explore.
-func ScheduleInstanceBuilder(spec scenario.Spec, seed int64) explore.Builder {
-	return func() (*explore.Instance, error) {
+// tester run *any* registered scenario rather than one hand-built system;
+// the schedule strategy and counterexample replay both build through it.
+func scenarioInstance(spec scenario.Spec, seed int64) instanceBuilder {
+	return func() (*scheduleInstance, error) {
 		cfg, err := spec.StackConfig(seed)
 		if err != nil {
 			return nil, err
@@ -150,11 +393,11 @@ func ScheduleInstanceBuilder(spec scenario.Spec, seed int64) explore.Builder {
 			}
 			return nil
 		}
-		return &explore.Instance{
-			System:    st.System,
-			Env:       env,
-			EnvTopics: []pubsub.Topic{{Name: mission.TopicDroneState, Default: state}},
-			Property:  property,
+		return &scheduleInstance{
+			system:    st.System,
+			env:       env,
+			envTopics: []pubsub.Topic{{Name: mission.TopicDroneState, Default: state}},
+			property:  property,
 		}, nil
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Strategy decides how a campaign spends its execution budget. Search drives
@@ -22,54 +21,18 @@ type Strategy interface {
 	Search(ctx context.Context, e *Engine) error
 }
 
-// StrategyFactory builds a strategy from the integer parameter of a strategy
-// spec ("name:K"). param is 0 when the spec had no parameter; factories
-// substitute their default (or reject non-zero params for parameterless
-// strategies). The registry mirrors rta.Policy's.
-type StrategyFactory func(param int) (Strategy, error)
-
 // DefaultStrategyName names the default (random sampling) strategy.
 const DefaultStrategyName = "random"
 
-var strategies = struct {
-	sync.RWMutex
-	factories map[string]StrategyFactory
-}{factories: make(map[string]StrategyFactory)}
+// strategyNames is the fixed strategy set, sorted.
+var strategyNames = []string{"guided", "random", "schedule"}
 
-// RegisterStrategy adds a named strategy factory to the registry. Names are
-// the first component of a strategy spec and must not contain ':'.
-// Registering over an existing name is an error.
-func RegisterStrategy(name string, f StrategyFactory) error {
-	if name == "" || strings.Contains(name, ":") {
-		return fmt.Errorf("invalid strategy name %q", name)
-	}
-	if f == nil {
-		return fmt.Errorf("strategy %q: nil factory", name)
-	}
-	strategies.Lock()
-	defer strategies.Unlock()
-	if _, dup := strategies.factories[name]; dup {
-		return fmt.Errorf("strategy %q already registered", name)
-	}
-	strategies.factories[name] = f
-	return nil
-}
-
-// StrategyNames returns the registered strategy names, sorted.
-func StrategyNames() []string {
-	strategies.RLock()
-	defer strategies.RUnlock()
-	out := make([]string, 0, len(strategies.factories))
-	for name := range strategies.factories {
-		out = append(out, name)
-	}
-	slices.Sort(out)
-	return out
-}
+// StrategyNames returns the strategy names, sorted.
+func StrategyNames() []string { return slices.Clone(strategyNames) }
 
 // ParseStrategy resolves a strategy spec — "name" or "name:K" with K a
-// positive integer — against the registry. The empty spec resolves to the
-// default random strategy.
+// positive integer — against the fixed strategy set. The empty spec resolves
+// to the default random strategy.
 func ParseStrategy(spec string) (Strategy, error) {
 	name, param := spec, 0
 	if spec == "" {
@@ -84,20 +47,21 @@ func ParseStrategy(spec string) (Strategy, error) {
 		}
 		param = n
 	}
-	strategies.RLock()
-	f, ok := strategies.factories[name]
-	strategies.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("unknown strategy %q (have: %s)", name, strings.Join(StrategyNames(), ", "))
+	switch name {
+	case "random":
+		if param != 0 {
+			return nil, fmt.Errorf("strategy %q takes no parameter", "random")
+		}
+		return randomStrategy{}, nil
+	case "guided":
+		if param == 0 {
+			param = DefaultGuidedBatch
+		}
+		return guidedStrategy{batch: param}, nil
+	case "schedule":
+		return scheduleStrategy{seeds: param}, nil
 	}
-	s, err := f(param)
-	if err != nil {
-		return nil, err
-	}
-	if s == nil {
-		return nil, fmt.Errorf("strategy %q: factory returned nil", name)
-	}
-	return s, nil
+	return nil, fmt.Errorf("unknown strategy %q (have: %s)", name, strings.Join(strategyNames, ", "))
 }
 
 // CanonicalStrategySpec normalizes a strategy spec, with the default name and
@@ -108,29 +72,6 @@ func CanonicalStrategySpec(spec string) (string, error) {
 		return "", err
 	}
 	return s.Name(), nil
-}
-
-func init() {
-	mustRegister := func(name string, f StrategyFactory) {
-		if err := RegisterStrategy(name, f); err != nil {
-			panic(err)
-		}
-	}
-	mustRegister("random", func(param int) (Strategy, error) {
-		if param != 0 {
-			return nil, fmt.Errorf("strategy %q takes no parameter", "random")
-		}
-		return randomStrategy{}, nil
-	})
-	mustRegister("guided", func(param int) (Strategy, error) {
-		if param == 0 {
-			param = DefaultGuidedBatch
-		}
-		return guidedStrategy{batch: param}, nil
-	})
-	mustRegister("schedule", func(param int) (Strategy, error) {
-		return scheduleStrategy{seeds: param}, nil
-	})
 }
 
 // randomBatch is how many candidates the random strategy evaluates per

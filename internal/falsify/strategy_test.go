@@ -5,15 +5,16 @@ import (
 	"testing"
 )
 
+// The strategy set is closed: exactly these three, sorted — the list
+// GET /falsify/strategies and the soter-falsify help text print.
 func TestStrategyRegistry(t *testing.T) {
 	names := StrategyNames()
-	for _, want := range []string{"guided", "random", "schedule"} {
-		if !slices.Contains(names, want) {
-			t.Errorf("StrategyNames() = %v, missing %q", names, want)
-		}
+	if want := []string{"guided", "random", "schedule"}; !slices.Equal(names, want) {
+		t.Errorf("StrategyNames() = %v, want %v", names, want)
 	}
-	if !slices.IsSorted(names) {
-		t.Errorf("StrategyNames() not sorted: %v", names)
+	names[0] = "mutated"
+	if StrategyNames()[0] != "guided" {
+		t.Error("StrategyNames returned the shared backing slice")
 	}
 }
 
@@ -53,19 +54,14 @@ func TestParseStrategy(t *testing.T) {
 			t.Errorf("ParseStrategy(%q) accepted", spec)
 		}
 	}
-}
-
-func TestRegisterStrategyRejects(t *testing.T) {
-	dummy := func(int) (Strategy, error) { return randomStrategy{}, nil }
-	cases := map[string]error{
-		"empty name":    RegisterStrategy("", dummy),
-		"colon in name": RegisterStrategy("a:b", dummy),
-		"nil factory":   RegisterStrategy("x", nil),
-		"duplicate":     RegisterStrategy("random", dummy),
-	}
-	for name, err := range cases {
-		if err == nil {
-			t.Errorf("%s: accepted", name)
+	// The error texts callers see are part of the interface.
+	for spec, want := range map[string]string{
+		"annealing":  `unknown strategy "annealing" (have: guided, random, schedule)`,
+		"random:3":   `strategy "random" takes no parameter`,
+		"schedule:0": `strategy spec "schedule:0": parameter "0" must be a positive integer`,
+	} {
+		if _, err := ParseStrategy(spec); err == nil || err.Error() != want {
+			t.Errorf("ParseStrategy(%q) error = %v, want %q", spec, err, want)
 		}
 	}
 }

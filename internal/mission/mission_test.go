@@ -428,3 +428,28 @@ func TestProtectionModeString(t *testing.T) {
 		t.Error("ProtectionMode.String wrong")
 	}
 }
+
+// Every protection mode and AC kind name round-trips through its parser,
+// and an unknown name is rejected.
+func TestParseEnumRoundTrip(t *testing.T) {
+	for m := ProtectRTA; m <= ProtectSCOnly; m++ {
+		if got, ok := ParseProtection(m.String()); !ok || got != m {
+			t.Errorf("ParseProtection(%q) = %v, %v; want %v", m.String(), got, ok, m)
+		}
+	}
+	for k := ACAggressive; k <= ACLearned; k++ {
+		if got, ok := ParseACKind(k.String()); !ok || got != k {
+			t.Errorf("ParseACKind(%q) = %v, %v; want %v", k.String(), got, ok, k)
+		}
+	}
+	for _, name := range []string{"", "RTA", "ProtectionMode(0)", "none"} {
+		if _, ok := ParseProtection(name); ok {
+			t.Errorf("ParseProtection(%q) accepted", name)
+		}
+	}
+	for _, name := range []string{"", "Aggressive", "ACKind(0)", "rta"} {
+		if _, ok := ParseACKind(name); ok {
+			t.Errorf("ParseACKind(%q) accepted", name)
+		}
+	}
+}

@@ -42,6 +42,17 @@ func (m ProtectionMode) String() string {
 	}
 }
 
+// ParseProtection resolves a protection-mode name as printed by String,
+// reporting false for an unknown name.
+func ParseProtection(name string) (ProtectionMode, bool) {
+	for m := ProtectRTA; m <= ProtectSCOnly; m++ {
+		if m.String() == name {
+			return m, true
+		}
+	}
+	return 0, false
+}
+
 // ACKind selects the untrusted advanced motion primitive.
 type ACKind int
 
@@ -52,6 +63,29 @@ const (
 	// ACLearned is the data-driven primitive (Figure 5 left).
 	ACLearned
 )
+
+// String implements fmt.Stringer.
+func (k ACKind) String() string {
+	switch k {
+	case ACAggressive:
+		return "aggressive"
+	case ACLearned:
+		return "learned"
+	default:
+		return fmt.Sprintf("ACKind(%d)", int(k))
+	}
+}
+
+// ParseACKind resolves an advanced-controller name as printed by String,
+// reporting false for an unknown name.
+func ParseACKind(name string) (ACKind, bool) {
+	for k := ACAggressive; k <= ACLearned; k++ {
+		if k.String() == name {
+			return k, true
+		}
+	}
+	return 0, false
+}
 
 // StackConfig configures the full RTA-protected surveillance stack of
 // Figure 8 (or its unprotected baselines).

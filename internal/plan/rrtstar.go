@@ -47,6 +47,17 @@ func (b Bug) String() string {
 	}
 }
 
+// ParseBug resolves a bug name as printed by String, reporting false for an
+// unknown name.
+func ParseBug(name string) (Bug, bool) {
+	for b := BugNone; b <= BugStaleObstacles; b++ {
+		if b.String() == name {
+			return b, true
+		}
+	}
+	return 0, false
+}
+
 // RRTStarConfig configures the sampling-based planner.
 type RRTStarConfig struct {
 	// MaxIters bounds the number of samples.

@@ -61,3 +61,18 @@ func TestRRTStarGoldenPlans(t *testing.T) {
 		t.Fatalf("RRT* plan digest = %s, want %s", got, goldenPlansDigest)
 	}
 }
+
+// Every bug name round-trips through ParseBug, and an unknown name is
+// rejected: the CLI, the service and falsify all parse through it.
+func TestParseBugRoundTrip(t *testing.T) {
+	for b := BugNone; b <= BugStaleObstacles; b++ {
+		if got, ok := ParseBug(b.String()); !ok || got != b {
+			t.Errorf("ParseBug(%q) = %v, %v; want %v", b.String(), got, ok, b)
+		}
+	}
+	for _, name := range []string{"", "None", "skip", "Bug(9)"} {
+		if _, ok := ParseBug(name); ok {
+			t.Errorf("ParseBug(%q) accepted", name)
+		}
+	}
+}

@@ -14,9 +14,9 @@
 //
 // The executor is deterministic: nodes firing at the same instant run in a
 // fixed order (DMs first, then the remaining nodes alphabetically) unless a
-// custom ScheduleOrder is installed — the systematic-testing engine in
-// internal/explore uses that hook to enumerate interleavings under bounded
-// asynchrony.
+// custom ScheduleOrder is installed — the falsification layer's schedule
+// strategy (internal/falsify) uses that hook to enumerate interleavings under
+// bounded asynchrony.
 //
 // New resolves every node once into a dense slot table, one slot per node in
 // the system's sorted node order: the node, its module when it is a decision

@@ -224,7 +224,7 @@ func (s Spec) workspace() *geom.Workspace {
 // StartPos resolves the Spec's effective initial position — Spec.Start, the
 // first fixed target, or the default take-off pad. Exported for engines that
 // build their own environment around a compiled stack (the falsification
-// layer's schedule strategy drives the explore backend directly).
+// layer's schedule strategy runs the executor on its own plant loop).
 func (s Spec) StartPos() geom.Vec3 { return s.start() }
 
 // start resolves the initial position.

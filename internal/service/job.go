@@ -103,38 +103,29 @@ func (o Overrides) apply(s scenario.Spec) (scenario.Spec, error) {
 	if o.Duration != 0 {
 		s.Duration = time.Duration(o.Duration)
 	}
-	switch o.Protection {
-	case "":
-	case "rta":
-		s.Protection = mission.ProtectRTA
-	case "ac-only":
-		s.Protection = mission.ProtectACOnly
-	case "sc-only":
-		s.Protection = mission.ProtectSCOnly
-	default:
-		return s, fmt.Errorf("unknown protection %q (want rta | ac-only | sc-only)", o.Protection)
+	if o.Protection != "" {
+		p, ok := mission.ParseProtection(o.Protection)
+		if !ok {
+			return s, fmt.Errorf("unknown protection %q (want rta | ac-only | sc-only)", o.Protection)
+		}
+		s.Protection = p
 	}
-	switch o.AC {
-	case "":
-	case "aggressive":
-		s.AC = mission.ACAggressive
-	case "learned":
-		s.AC = mission.ACLearned
-	default:
-		return s, fmt.Errorf("unknown ac %q (want aggressive | learned)", o.AC)
+	if o.AC != "" {
+		k, ok := mission.ParseACKind(o.AC)
+		if !ok {
+			return s, fmt.Errorf("unknown ac %q (want aggressive | learned)", o.AC)
+		}
+		s.AC = k
 	}
-	switch o.PlannerBug {
-	case "":
-	case "none":
-		s.PlannerBug, s.PlannerBugRate = plan.BugNone, 0
-	case "skip-edge-check":
-		s.PlannerBug = plan.BugSkipEdgeCheck
-	case "unchecked-shortcut":
-		s.PlannerBug = plan.BugUncheckedShortcut
-	case "stale-obstacles":
-		s.PlannerBug = plan.BugStaleObstacles
-	default:
-		return s, fmt.Errorf("unknown planner_bug %q", o.PlannerBug)
+	if o.PlannerBug != "" {
+		b, ok := plan.ParseBug(o.PlannerBug)
+		if !ok {
+			return s, fmt.Errorf("unknown planner_bug %q", o.PlannerBug)
+		}
+		s.PlannerBug = b
+		if b == plan.BugNone {
+			s.PlannerBugRate = 0
+		}
 	}
 	if o.PlannerBugRate != nil {
 		s.PlannerBugRate = *o.PlannerBugRate
